@@ -366,6 +366,15 @@ func BenchmarkFindPath(b *testing.B) {
 // it once per message in series; the concurrent NM overlaps it.
 const simRTT = 200 * time.Microsecond
 
+// benchWorkers maps a scale-suite mode to the NM's worker bound: one
+// worker is the paper's sequential accounting mode.
+func benchWorkers(mode string) int {
+	if mode == "sequential" {
+		return 1
+	}
+	return 64
+}
+
 func BenchmarkLinearDiscover(b *testing.B) {
 	sc, err := experiments.LinearScenarioByName("GRE")
 	if err != nil {
@@ -378,8 +387,7 @@ func BenchmarkLinearDiscover(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				tb.NM.Sequential = mode == "sequential"
-				tb.NM.Workers = 64
+				tb.NM.Workers = benchWorkers(mode)
 				tb.Hub.SetLatency(simRTT)
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
@@ -456,8 +464,7 @@ func benchmarkLinearConfigure(b *testing.B, sc experiments.LinearScenario, ns []
 					if err != nil {
 						b.Fatal(err)
 					}
-					tb.NM.Sequential = mode == "sequential"
-					tb.NM.Workers = 64
+					tb.NM.Workers = benchWorkers(mode)
 					plan, err := sc.PlanLinear(tb, n)
 					if err != nil {
 						b.Fatal(err)

@@ -45,73 +45,88 @@ import (
 )
 
 func main() {
-	if len(os.Args) < 2 {
+	os.Exit(runCommand(os.Args[1:]))
+}
+
+// commands maps every subcommand to its runner. Anything else is a list
+// of paper artifacts (table3 ... fig9, paths, all).
+var commands = map[string]func(cmd string, args []string) error{
+	"-h": runHelp, "--help": runHelp, "help": runHelp,
+	"plan": runIntent, "apply": runIntent, "destroy": runIntent,
+	"submit": runStore, "reconcile": runStore, "withdraw": runStore,
+	"daemon":    argsOnly(runDaemon),
+	"doctor":    argsOnly(runDoctor),
+	"store":     argsOnly(runStoreAdmin),
+	"bench":     argsOnly(runBench),
+	"chaos":     argsOnly(runChaosCmd),
+	"transport": argsOnly(runTransport),
+}
+
+func argsOnly(run func(args []string) error) func(string, []string) error {
+	return func(_ string, args []string) error { return run(args) }
+}
+
+func runHelp(string, []string) error {
+	usage()
+	return flag.ErrHelp
+}
+
+// runCommand dispatches one invocation and returns its exit status.
+func runCommand(args []string) int {
+	if len(args) == 0 {
 		usage()
-		os.Exit(2)
+		return 2
 	}
-	cmd, args := os.Args[1], os.Args[2:]
-	switch cmd {
-	case "-h", "--help", "help":
-		usage()
-		return
-	case "plan", "apply", "destroy":
-		if err := runIntent(cmd, args); err != nil {
-			fmt.Fprintf(os.Stderr, "conman %s: %v\n", cmd, err)
-			os.Exit(1)
-		}
-		return
-	case "submit", "reconcile", "withdraw":
-		if err := runStore(cmd, args); err != nil {
-			code, lines := storeFailure(cmd, err)
-			for _, line := range lines {
-				fmt.Fprintln(os.Stderr, line)
-			}
-			os.Exit(code)
-		}
-		return
-	case "daemon":
-		if err := runDaemon(args); err != nil {
-			fmt.Fprintf(os.Stderr, "conman daemon: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	case "doctor":
-		os.Exit(runDoctor(args))
-	case "store":
-		if err := runStoreAdmin(args); err != nil {
-			fmt.Fprintf(os.Stderr, "conman store: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	case "bench":
-		if err := runBench(args); err != nil {
-			fmt.Fprintf(os.Stderr, "conman bench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	case "chaos":
-		if err := runChaosCmd(args); err != nil {
-			fmt.Fprintf(os.Stderr, "conman chaos: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	case "transport":
-		if err := runTransport(args); err != nil {
-			fmt.Fprintf(os.Stderr, "conman transport: %v\n", err)
-			os.Exit(1)
-		}
-		return
+	if run, ok := commands[args[0]]; ok {
+		return exitCode(args[0], run(args[0], args[1:]))
 	}
-	cmds := os.Args[1:]
-	if len(cmds) == 1 && cmds[0] == "all" {
-		cmds = []string{"table3", "table4", "paths", "fig5", "fig7", "fig8", "fig9", "table5", "table6", "fig3"}
+	if len(args) == 1 && args[0] == "all" {
+		args = []string{"table3", "table4", "paths", "fig5", "fig7", "fig8", "fig9", "table5", "table6", "fig3"}
 	}
-	for _, c := range cmds {
-		if err := run(c); err != nil {
-			fmt.Fprintf(os.Stderr, "conman %s: %v\n", c, err)
-			os.Exit(1)
+	for _, c := range args {
+		if code := exitCode(c, run(c)); code != 0 {
+			return code
 		}
 	}
+	return 0
+}
+
+// exitStatus is an error carrying a subcommand's own exit code (doctor's
+// health verdict) past the default of 1, wrapping its cause if any.
+type exitStatus struct {
+	code int
+	err  error
+}
+
+func (e exitStatus) Error() string {
+	if e.err == nil {
+		return fmt.Sprintf("exit status %d", e.code)
+	}
+	return e.err.Error()
+}
+
+func (e exitStatus) Unwrap() error { return e.err }
+
+// exitCode is the one place a subcommand's error becomes an exit status:
+// -h (flag.ErrHelp) is success, an exitStatus keeps its code, and
+// everything else reports through storeFailure (a store conflict exits
+// 3, any other error 1).
+func exitCode(cmd string, err error) int {
+	var st exitStatus
+	switch {
+	case err == nil || errors.Is(err, flag.ErrHelp):
+		return 0
+	case errors.As(err, &st):
+		if st.err != nil {
+			fmt.Fprintf(os.Stderr, "conman %s: %v\n", cmd, st.err)
+		}
+		return st.code
+	}
+	code, lines := storeFailure(cmd, err)
+	for _, line := range lines {
+		fmt.Fprintln(os.Stderr, line)
+	}
+	return code
 }
 
 func usage() {
@@ -241,15 +256,28 @@ func scenario(name string) (func() (*experiments.Testbed, error), nm.Intent, err
 	return nil, nm.Intent{}, fmt.Errorf("unknown scenario %q (want gre, mpls or vlan)", name)
 }
 
-func runIntent(cmd string, args []string) error {
-	dryRun := false
-	var names []string
+// intentArgs splits the lifecycle and store commands' arguments into the
+// -dry-run flag (accepted anywhere) and positional names; -h asks for
+// help.
+func intentArgs(args []string) (dryRun bool, names []string, err error) {
 	for _, a := range args {
-		if a == "-dry-run" || a == "--dry-run" {
+		switch a {
+		case "-dry-run", "--dry-run":
 			dryRun = true
-			continue
+		case "-h", "-help", "--help":
+			usage()
+			return false, nil, flag.ErrHelp
+		default:
+			names = append(names, a)
 		}
-		names = append(names, a)
+	}
+	return dryRun, names, nil
+}
+
+func runIntent(cmd string, args []string) error {
+	dryRun, names, err := intentArgs(args)
+	if err != nil {
+		return err
 	}
 	if len(names) != 1 {
 		usage()
@@ -327,14 +355,9 @@ func runIntent(cmd string, args []string) error {
 // same diamond of switches (shared edge and transit devices), managed
 // through Submit / Withdraw / Reconcile.
 func runStore(cmd string, args []string) error {
-	dryRun := false
-	var names []string
-	for _, a := range args {
-		if a == "-dry-run" || a == "--dry-run" {
-			dryRun = true
-			continue
-		}
-		names = append(names, a)
+	dryRun, names, err := intentArgs(args)
+	if err != nil {
+		return err
 	}
 	tb, pairs, err := experiments.BuildDiamondShared(2)
 	if err != nil {
@@ -717,23 +740,21 @@ func runChaosCmd(args []string) error {
 // runDoctor snapshots a running daemon's /status and renders a
 // human-readable health report; the exit code is the check result (0
 // healthy, 1 not, 2 unreachable daemon / bad flags).
-func runDoctor(args []string) int {
+func runDoctor(args []string) error {
 	fs := flag.NewFlagSet("doctor", flag.ContinueOnError)
 	addr := fs.String("addr", defaultDaemonAddr, "daemon address to probe")
 	if err := fs.Parse(args); err != nil {
-		return 2
+		return exitStatus{2, err}
 	}
 	client := &http.Client{Timeout: 5 * time.Second}
 	resp, err := client.Get("http://" + *addr + "/status")
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "conman doctor: %v\n", err)
-		return 2
+		return exitStatus{2, err}
 	}
 	defer resp.Body.Close()
 	var st nm.DaemonStatus
 	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		fmt.Fprintf(os.Stderr, "conman doctor: decoding /status: %v\n", err)
-		return 2
+		return exitStatus{2, fmt.Errorf("decoding /status: %w", err)}
 	}
 
 	dash := func(s string) string {
@@ -788,10 +809,10 @@ func runDoctor(args []string) int {
 
 	if !st.Healthy() {
 		fmt.Println("UNHEALTHY")
-		return 1
+		return exitStatus{code: 1}
 	}
 	fmt.Println("healthy")
-	return 0
+	return nil
 }
 
 // runStoreAdmin operates offline on a daemon's -state-dir: `log` prints
@@ -807,6 +828,9 @@ func runStoreAdmin(args []string) error {
 		return fmt.Errorf("store needs a subcommand (log, show or rollback)")
 	}
 	sub, rest := args[0], args[1:]
+	if sub == "-h" || sub == "-help" || sub == "--help" {
+		return runHelp("store", nil)
+	}
 	fs := flag.NewFlagSet("store "+sub, flag.ContinueOnError)
 	dir := fs.String("state-dir", "", "daemon state directory (snapshot + journal)")
 	to := fs.Uint64("to", 0, "journal sequence number (show: replay up to it; rollback: rewind to it)")
@@ -978,16 +1002,12 @@ type benchResult struct {
 // JSON array (CI uploads it as BENCH_scale.json to track the perf
 // trajectory across PRs).
 func runBench(args []string) error {
-	out := ""
-	for i := 0; i < len(args); i++ {
-		if args[i] == "-out" || args[i] == "--out" {
-			if i+1 >= len(args) {
-				return fmt.Errorf("-out needs a file name")
-			}
-			out = args[i+1]
-			i++
-		}
+	fs := flag.NewFlagSet("bench", flag.ContinueOnError)
+	outFlag := fs.String("out", "", "write the JSON results to this file (default: stdout)")
+	if err := fs.Parse(args); err != nil {
+		return err
 	}
+	out := *outFlag
 	const latency = 200 * time.Microsecond
 	var results []benchResult
 	// The plain GRE rows track the executor's scaling to n=128; the
@@ -1005,8 +1025,10 @@ func runBench(args []string) error {
 					if err != nil {
 						return err
 					}
-					tb.NM.Sequential = mode == "sequential"
 					tb.NM.Workers = 64
+					if mode == "sequential" {
+						tb.NM.Workers = 1
+					}
 					plan, err := sc.PlanLinear(tb, n)
 					if err != nil {
 						return err
@@ -1143,7 +1165,7 @@ func runBench(args []string) error {
 //   - IGPFlood: applying the first routed intent on a BuildTopoGREIGP
 //     fabric cold-starts IGP adjacencies on every router; each LSA
 //     batch is relayed through the NM, so the counters' relay figures
-//     are the flooding message count. Sequential mode keeps them
+//     are the flooding message count. One worker keeps them
 //     deterministic (Expanded = relays out, gated exactly; a ring
 //     floods O(n) LSAs over O(n) adjacencies, a Clos core refloods
 //     across its much denser neighbour sets).
@@ -1169,7 +1191,7 @@ func benchTopoRows(results *[]benchResult, latency time.Duration) error {
 		if err != nil {
 			return err
 		}
-		tb.NM.Sequential = true
+		tb.NM.Workers = 1
 		intent := nm.Intent{Name: "vpn-c1", Goal: pairs[0].Goal, Prefer: "GRE-IP tunnel"}
 		plan, err := tb.NM.Plan(intent)
 		if err != nil {
@@ -1406,9 +1428,9 @@ func run(cmd string) error {
 		if err != nil {
 			return err
 		}
-		// Sequential mode keeps the trace in chronological order — Fig 3
-		// is a time-ordered sequence diagram.
-		tb.NM.Sequential = true
+		// One worker keeps the trace in chronological order — Fig 3 is a
+		// time-ordered sequence diagram.
+		tb.NM.Workers = 1
 		tb.NM.EnableMessageLog()
 		goal := experiments.Fig4Goal()
 		if _, _, err := experiments.ConfigureVPN(tb, goal, "GRE-IP tunnel"); err != nil {

@@ -1,7 +1,9 @@
 package main
 
 import (
+	"flag"
 	"fmt"
+	"sort"
 	"strings"
 	"testing"
 
@@ -39,5 +41,45 @@ func TestStoreFailureGeneric(t *testing.T) {
 	}
 	if len(lines) != 1 || !strings.Contains(lines[0], "conman withdraw") {
 		t.Errorf("generic report = %q", lines)
+	}
+}
+
+// TestHelpExitsZero pins the CLI's -h contract: every subcommand answers
+// -h with its usage and exit status 0, through the one dispatcher,
+// without running anything.
+func TestHelpExitsZero(t *testing.T) {
+	cmds := make([]string, 0, len(commands))
+	for cmd := range commands {
+		cmds = append(cmds, cmd)
+	}
+	sort.Strings(cmds)
+	for _, cmd := range cmds {
+		if got := runCommand([]string{cmd, "-h"}); got != 0 {
+			t.Errorf("conman %s -h exited %d, want 0", cmd, got)
+		}
+	}
+	if got := runCommand([]string{"store", "log", "-h"}); got != 0 {
+		t.Errorf("conman store log -h exited %d, want 0", got)
+	}
+}
+
+// TestExitCodes pins the dispatcher's mapping of subcommand errors.
+func TestExitCodes(t *testing.T) {
+	cases := []struct {
+		name string
+		err  error
+		want int
+	}{
+		{"success", nil, 0},
+		{"help", fmt.Errorf("parse: %w", flag.ErrHelp), 0},
+		{"generic", fmt.Errorf("boom"), 1},
+		{"conflict", fmt.Errorf("store apply: %w", &nm.ConflictError{IntentA: "a", IntentB: "b"}), 3},
+		{"own status", exitStatus{code: 2}, 2},
+		{"own status with help", exitStatus{2, flag.ErrHelp}, 0},
+	}
+	for _, c := range cases {
+		if got := exitCode("test", c.err); got != c.want {
+			t.Errorf("%s: exit %d, want %d", c.name, got, c.want)
+		}
 	}
 }

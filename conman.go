@@ -18,7 +18,8 @@
 //   - protocol modules wrapping that substrate (internal/modules)
 //   - the Network Manager (internal/nm): topology discovery, potential
 //     graph, path finder with encapsulation/domain pruning, compiler to
-//     CONMan scripts, wave executor, and the declarative Intent API
+//     CONMan scripts, per-device-chain executor, and the declarative
+//     Intent API on one reconcile engine
 //   - "configuration today" scripts and the Table V metric
 //     (internal/legacy)
 //   - every table and figure of the paper's evaluation
@@ -71,25 +72,26 @@
 // reconciling again immediately sends zero commands. See
 // examples/multi-intent and `conman submit|reconcile|withdraw`.
 //
+// Both tiers run on one reconcile engine: Plan is the store's planner
+// on a throwaway store holding only the one intent, Destroy binds the
+// intent there and withdraws it, and Apply and ApplyStore share one
+// executor.
+//
 // # Concurrency
 //
 // The NM fans work out across devices: DiscoverAll and Plan's state
 // observation query all devices on a bounded worker pool, and Apply
-// groups batches into dependency waves — batches on distinct devices
+// runs its batches as per-device chains — chains on distinct devices
 // run concurrently, while a device appearing more than once keeps its
 // batches in order. Module peering is unaffected because the initiator
 // rule keys on module references, not arrival order, so the message
-// Counters (Table VI) are byte-identical to sequential execution. Two
-// knobs control this:
-//
-//   - NM.Sequential: set true to restore strict one-device-at-a-time
-//     operation (the paper's original accounting mode, and a fallback
-//     for channels that cannot carry concurrent traffic).
-//   - NM.Workers: bounds the fan-out per wave; zero selects
-//     nm.DefaultWorkers (16).
-//
-// Both are read without locking and must be set before the first
-// DiscoverAll/Plan/Apply call. The whole stack (channel hub, device MAs,
+// Counters (Table VI) are byte-identical to sequential execution. One
+// knob controls this: NM.Workers bounds the fan-out (zero selects
+// nm.DefaultWorkers, 16), and NM.Workers = 1 is strict
+// one-device-at-a-time operation in script order (the paper's original
+// accounting mode, and a fallback for channels that cannot carry
+// concurrent traffic). It is read without locking and must be set
+// before the first DiscoverAll/Plan/Apply call. The whole stack (channel hub, device MAs,
 // protocol modules, kernels, netsim) is safe under `go test -race` with
 // concurrent NM calls; netsim.Network.Flush provides a quiescence
 // barrier for concurrent data-plane probes. For experiments,

@@ -340,8 +340,8 @@ func (r Table6Row) Matches() bool {
 // Table6 sweeps chain lengths and measures the NM's configuration
 // messages, comparing them to the paper's closed forms: GRE 3n+2 / 2n+2,
 // MPLS 3n-2 / 2n-1, VLAN 3n-2 / 2n-1. The paper's accounting runs were
-// strictly sequential, so Table6 pins NM.Sequential; the scale tests
-// assert the concurrent executor produces the same counters.
+// strictly sequential, so Table6 runs the NM with one worker; the scale
+// tests assert the concurrent executor produces the same counters.
 func Table6(ns []int) ([]Table6Row, string, error) {
 	var rows []Table6Row
 	for _, n := range ns {
@@ -350,7 +350,7 @@ func Table6(ns []int) ([]Table6Row, string, error) {
 			if err != nil {
 				return nil, "", fmt.Errorf("%s n=%d: %w", sc.Name, n, err)
 			}
-			tb.NM.Sequential = true
+			tb.NM.Workers = 1
 			if _, err := sc.ConfigureLinear(tb, n); err != nil {
 				return nil, "", err
 			}

@@ -17,7 +17,9 @@ func configureWithMode(t *testing.T, sc LinearScenario, n int, sequential bool) 
 	if err != nil {
 		t.Fatalf("%s n=%d build: %v", sc.Name, n, err)
 	}
-	tb.NM.Sequential = sequential
+	if sequential {
+		tb.NM.Workers = 1
+	}
 	if _, err := sc.ConfigureLinear(tb, n); err != nil {
 		t.Fatalf("%s n=%d (sequential=%v): %v", sc.Name, n, sequential, err)
 	}
@@ -87,7 +89,9 @@ func TestDiscoverAllConcurrentMatchesSequential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tb.NM.Sequential = sequential
+		if sequential {
+			tb.NM.Workers = 1
+		}
 		// startAll already discovered; re-run in the mode under test.
 		if err := tb.NM.DiscoverAll(); err != nil {
 			t.Fatal(err)
@@ -214,8 +218,10 @@ func TestConcurrentFasterOnLatentChannel(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tb.NM.Sequential = sequential
 		tb.NM.Workers = n
+		if sequential {
+			tb.NM.Workers = 1
+		}
 		plan, err := sc.PlanLinear(tb, n)
 		if err != nil {
 			t.Fatal(err)

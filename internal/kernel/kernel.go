@@ -23,6 +23,7 @@ import (
 	"net/netip"
 	"sort"
 	"sync"
+	"time"
 
 	"conman/internal/core"
 	"conman/internal/packet"
@@ -218,11 +219,16 @@ type Kernel struct {
 	modules    map[string]bool // `insmod`/`modprobe` flags
 	probes     []ProbeEvent
 	execLog    []string
+	// probeWaiters holds the in-flight Probe calls, keyed by token.
+	probeWaiters map[uint32]chan struct{}
 
 	// OnProbe, when set, is invoked for every probe echo or reply the
 	// kernel delivers locally (module self-tests subscribe here).
 	OnProbe func(ev ProbeEvent)
 }
+
+// ProbeWait bounds how long Probe waits for the reply to its echo.
+const ProbeWait = 500 * time.Millisecond
 
 // maxEncapDepth bounds recursive encapsulation/decapsulation.
 const maxEncapDepth = 10
@@ -250,6 +256,8 @@ func New(dev core.DeviceID, role Role, send func(port string, frame []byte) erro
 		udp:        make(map[uint16]UDPHandler),
 		ethHandler: make(map[packet.EtherType]EtherTypeHandler),
 		modules:    make(map[string]bool),
+
+		probeWaiters: make(map[uint32]chan struct{}),
 	}
 	k.mpls = mplsState{ilm: make(map[ilmKey]bool), xc: make(map[ilmKey]int), nhlfe: make(map[int]*NHLFE), nextKey: 1}
 	k.bridge = newBridgeState()
@@ -965,6 +973,12 @@ func (k *Kernel) localDeliver(iif string, ip packet.IPv4, payload []byte, depth 
 		ev := ProbeEvent{Op: p.Op, Token: p.Token, Src: ip.Src, Dst: ip.Dst}
 		k.mu.Lock()
 		k.probes = append(k.probes, ev)
+		if w := k.probeWaiters[p.Token]; w != nil && p.Op == packet.ProbeReply {
+			select {
+			case w <- struct{}{}:
+			default:
+			}
+		}
 		cb := k.OnProbe
 		k.mu.Unlock()
 		if cb != nil {
@@ -1125,6 +1139,34 @@ func (k *Kernel) SendProbe(dst netip.Addr, token uint32) error {
 func (k *Kernel) SendProbeFrom(src, dst netip.Addr, token uint32) error {
 	return k.SendIP(src, dst, packet.ProtoProbe,
 		mustSerialize(packet.Probe{Op: packet.ProbeEcho, Token: token}))
+}
+
+// Probe sends a probe echo from src (zero: chosen from the egress
+// interface) to dst and reports whether its reply arrived within
+// ProbeWait. The reply waiter is registered before the echo leaves, so
+// a reply delivered by another goroutine's pump — the network's Send
+// may return before delivery — is never missed.
+func (k *Kernel) Probe(src, dst netip.Addr, token uint32) (bool, error) {
+	w := make(chan struct{}, 1)
+	k.mu.Lock()
+	k.probeWaiters[token] = w
+	k.mu.Unlock()
+	defer func() {
+		k.mu.Lock()
+		delete(k.probeWaiters, token)
+		k.mu.Unlock()
+	}()
+	if err := k.SendProbeFrom(src, dst, token); err != nil {
+		return false, err
+	}
+	timer := time.NewTimer(ProbeWait)
+	defer timer.Stop()
+	select {
+	case <-w:
+		return true, nil
+	case <-timer.C:
+		return false, nil
+	}
 }
 
 // ProbeReplies returns the tokens of probe replies delivered locally.

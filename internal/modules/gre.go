@@ -333,8 +333,14 @@ func (g *GRE) InstallSwitchRule(r *device.SwitchRuleInstance) error {
 	}
 
 	peer := up.LowerPeer
+	// Copy the negotiated parameters under the lock: HandleConvey marks
+	// them Done concurrently.
 	g.mu.Lock()
-	pr, haveParams := g.params[peer.String()]
+	var pr greParams
+	stored, haveParams := g.params[peer.String()]
+	if haveParams {
+		pr = *stored
+	}
 	g.mu.Unlock()
 	if peer.IsZero() {
 		return fmt.Errorf("%s: up pipe %s has no peer", g.Ref(), up.ID)
@@ -421,33 +427,34 @@ func (g *GRE) ListFields(component string) (map[string]string, error) {
 	return nil, fmt.Errorf("%s: unknown component %q", g.Ref(), component)
 }
 
-// SelfTest implements device.Module: checks IP reachability of the tunnel
-// remote endpoint (detects the paper's "invalid filter rule blocking IP
-// connectivity between the tunnel end points").
+// SelfTest implements device.Module: checks IP reachability of the
+// remote endpoint of the tunnel built across the given pipe (detects the
+// paper's "invalid filter rule blocking IP connectivity between the
+// tunnel end points").
 func (g *GRE) SelfTest(pipe core.PipeID) (bool, string) {
 	g.mu.Lock()
 	var iface string
-	for i := range g.tunnels {
-		iface = i
+	for i, t := range g.tunnels {
+		if t.up == pipe || t.dn == pipe {
+			iface = i
+			break
+		}
 	}
 	g.mu.Unlock()
 	if iface == "" {
-		return false, "no tunnel configured"
+		return false, fmt.Sprintf("no tunnel configured on pipe %s", pipe)
 	}
 	k := g.Svc.Kernel()
 	tun, ok := k.Tunnel(iface)
 	if !ok {
 		return false, "tunnel interface missing"
 	}
-	token := probeToken()
-	before := len(k.ProbeReplies())
-	if err := k.SendProbeFrom(tun.Local, tun.Remote, token); err != nil {
+	ok, err := k.Probe(tun.Local, tun.Remote, probeToken())
+	if err != nil {
 		return false, err.Error()
 	}
-	for _, tok := range k.ProbeReplies()[before:] {
-		if tok == token {
-			return true, fmt.Sprintf("endpoint %s reachable", tun.Remote)
-		}
+	if ok {
+		return true, fmt.Sprintf("endpoint %s reachable", tun.Remote)
 	}
 	return false, fmt.Sprintf("endpoint %s unreachable", tun.Remote)
 }

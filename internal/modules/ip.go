@@ -780,15 +780,13 @@ func (m *IP) SelfTest(pipe core.PipeID) (bool, string) {
 	}
 	k := m.Svc.Kernel()
 	token := probeToken()
-	before := len(k.ProbeReplies())
 	src, _ := m.PrimaryAddr()
-	if err := k.SendProbeFrom(src, dst, token); err != nil {
+	ok, err := k.Probe(src, dst, token)
+	if err != nil {
 		return false, err.Error()
 	}
-	for _, tok := range k.ProbeReplies()[before:] {
-		if tok == token {
-			return true, fmt.Sprintf("probe to %s answered", dst)
-		}
+	if ok {
+		return true, fmt.Sprintf("probe to %s answered", dst)
 	}
 	return false, fmt.Sprintf("probe to %s unanswered", dst)
 }

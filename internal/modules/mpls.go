@@ -51,7 +51,7 @@ type MPLS struct {
 
 type mplsNeighbor struct {
 	// MyInLabel is the label we allocated for traffic arriving from this
-	// neighbour.
+	// neighbour; 0 (a reserved label) until our pipe toward it attaches.
 	MyInLabel uint32
 	// PeerInLabel is the label the neighbour allocated for traffic we
 	// send to it.
@@ -143,7 +143,11 @@ func (m *MPLS) Actual() core.ModuleState {
 }
 
 // PipeAttached implements device.Module: a down pipe with a known MPLS
-// peer triggers the label exchange (initiator = smaller ref).
+// peer allocates our in-label for that peer and triggers the label
+// exchange (initiator = smaller ref). Labels are allocated in pipe
+// attach order — this device's script order — never in the arrival
+// order of peers' messages, so they do not depend on how the NM
+// schedules devices.
 func (m *MPLS) PipeAttached(p *device.Pipe, side device.PipeSide) error {
 	var (
 		send bool
@@ -159,13 +163,19 @@ func (m *MPLS) PipeAttached(p *device.Pipe, side device.PipeSide) error {
 		peer = p.UpperPeer
 		if !peer.IsZero() && peer.Name == core.NameMPLS {
 			key := peer.String()
-			if _, have := m.neighbors[key]; !have && m.Ref().String() < key {
-				n := &mplsNeighbor{MyInLabel: m.labelBase + m.labelSeq}
-				m.labelSeq++
+			n := m.neighbors[key]
+			if n == nil {
+				n = &mplsNeighbor{}
 				m.neighbors[key] = n
-				m.initiatedAny = true
-				body = mplsLabelMsg{Label: n.MyInLabel, LinkAddr: m.linkAddrLocked(p)}
-				send = true
+			}
+			if n.MyInLabel == 0 {
+				n.MyInLabel = m.labelBase + m.labelSeq
+				m.labelSeq++
+				if m.Ref().String() < key {
+					m.initiatedAny = true
+					body = mplsLabelMsg{Label: n.MyInLabel, LinkAddr: m.linkAddrLocked(p)}
+					send = true
+				}
 			}
 		}
 	}
@@ -269,10 +279,12 @@ func (m *MPLS) HandleConvey(from core.ModuleRef, kind string, body []byte) error
 	key := from.String()
 	n, have := m.neighbors[key]
 	if !have {
-		// We are the responder: allocate our own in-label now.
-		n = &mplsNeighbor{MyInLabel: m.labelBase + m.labelSeq}
-		m.labelSeq++
+		// Our pipe toward the requester has not attached yet; it
+		// allocates our in-label when it does.
+		n = &mplsNeighbor{}
 		m.neighbors[key] = n
+	}
+	if !x.Reply {
 		m.responded = true
 	}
 	n.PeerInLabel = x.Label
@@ -340,12 +352,16 @@ func (m *MPLS) flushReplies() {
 	}
 }
 
-// neighborFor returns negotiation state for the peer across a down pipe.
-func (m *MPLS) neighborFor(p *device.Pipe) (*mplsNeighbor, bool) {
+// neighborFor returns a snapshot of the negotiation state for the peer
+// across a down pipe (HandleConvey updates it concurrently).
+func (m *MPLS) neighborFor(p *device.Pipe) (mplsNeighbor, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	n, ok := m.neighbors[p.UpperPeer.String()]
-	return n, ok
+	if !ok {
+		return mplsNeighbor{}, false
+	}
+	return *n, true
 }
 
 // InstallSwitchRule implements device.Module. Two shapes:
@@ -538,7 +554,7 @@ func (m *MPLS) installTransit(r *device.SwitchRuleInstance, a, b *device.Pipe) e
 	k := m.Svc.Kernel()
 	// Direction A->B: traffic from neighbour A arrives with our in-label
 	// allocated for A, is swapped to B's in-label.
-	swap := func(in *mplsNeighbor, out *mplsNeighbor, outDev string) (string, error) {
+	swap := func(in, out mplsNeighbor, outDev string) (string, error) {
 		if _, err := k.Exec(fmt.Sprintf("mpls ilm add label gen %d labelspace 0", in.MyInLabel)); err != nil {
 			return "", err
 		}
@@ -622,14 +638,12 @@ func (m *MPLS) SelfTest(pipe core.PipeID) (bool, string) {
 	}
 	k := m.Svc.Kernel()
 	token := probeToken()
-	before := len(k.ProbeReplies())
-	if err := k.SendProbe(n.PeerLinkAddr, token); err != nil {
+	ok, err := k.Probe(netip.Addr{}, n.PeerLinkAddr, token)
+	if err != nil {
 		return false, err.Error()
 	}
-	for _, tok := range k.ProbeReplies()[before:] {
-		if tok == token {
-			return true, fmt.Sprintf("neighbour %s reachable", n.PeerLinkAddr)
-		}
+	if ok {
+		return true, fmt.Sprintf("neighbour %s reachable", n.PeerLinkAddr)
 	}
 	return false, fmt.Sprintf("neighbour %s unreachable", n.PeerLinkAddr)
 }

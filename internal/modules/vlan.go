@@ -151,6 +151,20 @@ func (v *VLAN) PipeAttached(p *device.Pipe, side device.PipeSide) error {
 	return nil
 }
 
+// initiatesLocked reports whether a queued exchange is still to be sent:
+// a module that just learned the VID from one neighbour initiates
+// toward the others in tryExchanges, after HandleConvey drops the lock,
+// and must not be taken for the pure responder in between. Caller holds
+// v.mu.
+func (v *VLAN) initiatesLocked() bool {
+	for _, p := range v.pendingPeers {
+		if !v.exchanged[p.String()] {
+			return true
+		}
+	}
+	return false
+}
+
 // tryExchanges sends VID coordination messages for which the VID is known.
 func (v *VLAN) tryExchanges() {
 	for {
@@ -272,7 +286,7 @@ func (v *VLAN) InstallSwitchRule(r *device.SwitchRuleInstance) error {
 	}
 	v.mu.Lock()
 	v.rules = append(v.rules, r)
-	notify := v.responded && !v.initiatedAny && !v.notified
+	notify := v.responded && !v.initiatedAny && !v.initiatesLocked() && !v.notified
 	if notify {
 		v.notified = true
 	}

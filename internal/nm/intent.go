@@ -2,6 +2,7 @@ package nm
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -24,14 +25,9 @@ type Intent struct {
 	// tunnel", "MPLS", "VLAN tunnel"); empty selects the paper's path
 	// selector (minimise pipes, prefer fast forwarding).
 	Prefer string
-	// MaxPaths bounds the path search (0 = DefaultMaxPaths): the
-	// enumeration cap in Exhaustive mode, a safety valve otherwise.
+	// MaxPaths bounds the path search (0 = DefaultMaxPaths), a safety
+	// valve on the best-first search.
 	MaxPaths int
-	// Exhaustive compiles through the legacy enumerate-then-filter
-	// finder instead of the default best-first search (A/B testing;
-	// infeasible on long L2 chains, where the enumeration cap truncates
-	// the variant space).
-	Exhaustive bool
 }
 
 // Plan is the diff between an intent's desired configuration and the
@@ -153,7 +149,6 @@ func (n *NM) compileIntent(intent Intent) (*Path, []DeviceScript, error) {
 		ToPipe:        intent.Goal.ToPipe,
 		MaxPaths:      intent.MaxPaths,
 		Prefer:        intent.Prefer,
-		Exhaustive:    intent.Exhaustive,
 	})
 	if err != nil {
 		return nil, nil, err
@@ -184,18 +179,17 @@ type observed struct {
 	// rules lists installed switch rules across the device's modules.
 	rules []obsRule
 
-	// The remaining fields are the incremental store's binding indexes,
-	// lazily built by ensureIndex (storestate.go); a bare observed as
-	// observe() or a test constructs it carries none of them.
+	// The remaining fields are the store's binding bookkeeping, lazily
+	// built by ensureIndex (storestate.go); a bare observed as observe()
+	// or a test constructs it carries none of them.
 
-	// claimed marks observed pipes bound to a desired union pipe.
-	claimed map[core.PipeID]bool
 	// usedIDs tracks every wire id ever observed on or allocated for the
-	// device, so deleted ids are not reused while the entry is cached.
+	// device, so deleted ids are not reused while the entry is cached;
+	// nextID is allocPipeID's cursor.
 	usedIDs map[core.PipeID]bool
-	// ruleIdx indexes rules by binding identity (obsRule.key) and
-	// ruleByID by installed id; tombstoned rules (id=="") are unindexed.
-	ruleIdx  map[string][]int
+	nextID  int
+	// ruleByID indexes rules by installed id; tombstoned rules (id=="")
+	// are unindexed.
 	ruleByID map[string]int
 }
 
@@ -206,22 +200,6 @@ type obsPipe struct {
 	// upperPeer is meaningful; switch ETH modules do not track pipes
 	// they sit above).
 	upperSeen bool
-}
-
-// matches reports whether the observed pipe satisfies a desired pipe
-// request: same modules AND same remote peers — a pipe whose far-end
-// peer changed must be recreated so the modules renegotiate (VID,
-// keys, labels) with the new peer.
-func (o obsPipe) matches(req core.PipeRequest) bool {
-	if o.upper != req.Upper || o.lower != req.Lower || o.lowerPeer != req.LowerPeer {
-		return false
-	}
-	if o.upperSeen {
-		return o.upperPeer == req.UpperPeer
-	}
-	// The upper module does not report its pipes; only a peer-less
-	// desired upper end can be confirmed in place.
-	return req.UpperPeer.IsZero()
 }
 
 type obsRule struct {
@@ -239,7 +217,6 @@ type obsRule struct {
 	// below its To pipe (core.CanonicalHandle form), as the installing
 	// module reported it; stale handles force replacement (§II-E).
 	handle string
-	used   bool
 }
 
 func classifierKey(c *core.Classifier) string {
@@ -335,37 +312,6 @@ func scriptDevices(scripts []DeviceScript) []core.DeviceID {
 	return out
 }
 
-// strandedDevices returns the devices a previous Apply of this intent
-// touched that the current path no longer visits, in sorted order.
-func (n *NM) strandedDevices(intentName string, current []core.DeviceID) []core.DeviceID {
-	if intentName == "" {
-		return nil
-	}
-	cur := make(map[core.DeviceID]bool, len(current))
-	for _, d := range current {
-		cur[d] = true
-	}
-	n.mu.Lock()
-	var out []core.DeviceID
-	for d := range n.intentDevs[intentName] {
-		if !cur[d] {
-			out = append(out, d)
-			cur[d] = true
-		}
-	}
-	// Devices that were unreachable when a previous pass wanted to prune
-	// them: keep trying until they answer.
-	for d := range n.staleDevs {
-		if !cur[d] {
-			out = append(out, d)
-			cur[d] = true
-		}
-	}
-	n.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
 // recordIntent updates the NM's memory of which devices an applied
 // plan's intent occupies.
 func (n *NM) recordIntent(plan *Plan) {
@@ -422,295 +368,150 @@ func deleteItem(req core.DeleteRequest) (msg.CommandItem, string) {
 		fmt.Sprintf("delete (%s, %s, %s)", req.Kind, req.Module, req.ID)
 }
 
-// Plan computes the reconciliation diff for an intent: it compiles the
-// desired configuration, observes the actual state of every device on
-// the chosen path — plus any device a previous Apply of this intent
-// touched that the path has since migrated away from — and returns
-// per-device batches that create what is missing and delete what is
-// stale. Planning sends no configuration commands; Apply(plan) twice
-// in a row therefore sends zero commands on the second pass.
+// Plan computes the reconciliation diff for an intent: a one-intent
+// projection of the store's reconcile. The intent is compiled and merged
+// into a throwaway store state that holds only it, every device on the
+// chosen path is observed fresh — plus any device a previous Apply of
+// this intent touched that the path has since migrated away from — and
+// the store's per-device diff yields batches that create what is
+// missing and delete what is stale. Planning sends no configuration
+// commands; Apply(plan) twice in a row therefore sends zero commands on
+// the second pass.
 func (n *NM) Plan(intent Intent) (*Plan, error) {
-	path, desired, err := n.compileIntent(intent)
+	path, scripts, err := n.compileIntent(intent)
 	if err != nil {
 		return nil, err
 	}
-	devs := scriptDevices(desired)
-	stranded := n.strandedDevices(intent.Name, devs)
-	obs, unreachable, err := n.observe(append(append([]core.DeviceID(nil), devs...), stranded...), optionalSet(stranded))
+	_, sp, err := n.projectIntent(intent, path, scripts)
 	if err != nil {
 		return nil, err
 	}
-
-	plan := &Plan{Intent: intent, Path: path, touched: devs, Unreachable: unreachable}
-	// Devices a previous Apply of this intent touched but the current
-	// path avoids (e.g. rerouted around a failure): everything on them
-	// is stale. Unreachable ones are skipped and remembered.
-	for _, dev := range stranded {
-		o := obs[dev]
-		if o == nil {
-			continue
-		}
-		plan.pruned = append(plan.pruned, dev)
-		if del := pruneAll(dev, o); len(del.Items) > 0 {
-			plan.Deletes = append(plan.Deletes, del)
-		}
-	}
-	for _, ds := range desired {
-		o := obs[ds.Device]
-		var creates DeviceScript
-		var delRules, delPipes DeviceScript
-		creates.Device, delRules.Device, delPipes.Device = ds.Device, ds.Device, ds.Device
-
-		// Pipe pass: decide which desired pipes are in place. A pipe id
-		// observed with different endpoints is churned: deleted and
-		// recreated. Rules referencing churned pipes cannot be kept.
-		churned := map[core.PipeID]bool{}
-		desiredPipes := map[core.PipeID]bool{}
-		lowerOf := map[core.PipeID]core.ModuleRef{}
-		for _, item := range ds.Items {
-			if item.Pipe == nil {
-				continue
-			}
-			id := item.Pipe.ID
-			desiredPipes[id] = true
-			lowerOf[id] = item.Pipe.Req.Lower
-			got, exists := o.pipes[id]
-			switch {
-			case exists && got.matches(item.Pipe.Req):
-				plan.InPlace++
-			case exists:
-				// Same id, different endpoints or peers: replace, so the
-				// modules renegotiate with the new far end.
-				di, rendered := deleteItem(core.DeleteRequest{
-					Kind: core.ComponentPipe, Module: got.lower, ID: string(id),
-				})
-				delPipes.Items = append(delPipes.Items, di)
-				delPipes.Rendered = append(delPipes.Rendered, rendered)
-				churned[id] = true
-			default:
-				churned[id] = true
-			}
-		}
-
-		// Stale pipes: observed, deletable, but not desired. (Entries
-		// with a zero lower module were only reported from their upper
-		// end and cannot be addressed for deletion.)
-		var staleIDs []core.PipeID
-		for id, op := range o.pipes {
-			if !desiredPipes[id] && !op.lower.IsZero() {
-				staleIDs = append(staleIDs, id)
-			}
-		}
-		sort.Slice(staleIDs, func(i, j int) bool { return staleIDs[i] < staleIDs[j] })
-		for _, id := range staleIDs {
-			di, rendered := deleteItem(core.DeleteRequest{
-				Kind: core.ComponentPipe, Module: o.pipes[id].lower, ID: string(id),
-			})
-			delPipes.Items = append(delPipes.Items, di)
-			delPipes.Rendered = append(delPipes.Rendered, rendered)
-			churned[id] = true
-		}
-
-		// Item pass, in compiler order (so the create batch reads exactly
-		// like a from-scratch script): a desired pipe is created unless
-		// in place; a desired rule is in place iff an identical rule is
-		// observed and none of its pipes churned. Every observed rule not
-		// kept this way is stale and deleted (its pipes changed, or it
-		// belongs to a previous configuration).
-		for i, item := range ds.Items {
-			switch {
-			case item.Pipe != nil:
-				if churned[item.Pipe.ID] {
-					creates.Items = append(creates.Items, item)
-					creates.Rendered = append(creates.Rendered, ds.Rendered[i])
-				}
-			case item.Switch != nil:
-				r := item.Switch.Rule
-				// The rule consumes exported handles when it steers into a
-				// pipe whose lower module is a *different* module that
-				// advertises HandleFields (an egress rule's To pipe has the
-				// rule's own module below it — nothing is embedded).
-				prov, hasProv := lowerOf[r.To]
-				exports := hasProv && prov != r.Module && n.handleExporter(prov)
-				if exports {
-					plan.handleDeps = append(plan.handleDeps, handleDep{prov, "pipe:" + string(r.To)})
-				}
-				kept := false
-				if !churned[r.From] && !churned[r.To] {
-					for j := range o.rules {
-						or := &o.rules[j]
-						if or.used || or.module != r.Module || or.from != r.From || or.to != r.To {
-							continue
-						}
-						if or.match != classifierKey(r.Match) || or.via != r.Via {
-							continue
-						}
-						// Resolved-value drift: the NM's domain/gateway
-						// knowledge changed since install — replace.
-						if or.matchResolved != item.Switch.MatchResolved ||
-							or.viaResolved != item.Switch.ViaResolved {
-							continue
-						}
-						// Stale embedded handle (§II-E): the module below
-						// To regenerated its exported fields (pipe churn
-						// renumbered an NHLFE); the rule's embedded copy
-						// points at dead state — replace.
-						if exports && !n.handleFresh(prov, r.To, or.handle) {
-							continue
-						}
-						or.used = true
-						kept = true
-						break
-					}
-				}
-				if kept {
-					plan.InPlace++
-					continue
-				}
-				creates.Items = append(creates.Items, item)
-				creates.Rendered = append(creates.Rendered, ds.Rendered[i])
-			default:
-				// Filters and other non-diffed items always execute.
-				creates.Items = append(creates.Items, item)
-				creates.Rendered = append(creates.Rendered, ds.Rendered[i])
-			}
-		}
-		for j := range o.rules {
-			or := &o.rules[j]
-			if or.used {
-				continue
-			}
-			di, rendered := deleteItem(core.DeleteRequest{
-				Kind: core.ComponentSwitchRule, Module: or.module, ID: or.id,
-			})
-			delRules.Items = append(delRules.Items, di)
-			delRules.Rendered = append(delRules.Rendered, rendered)
-		}
-
-		// Rules are deleted before the pipes they reference so modules
-		// can undo rule state while the pipes still exist.
-		del := DeviceScript{Device: ds.Device}
-		del.Items = append(append(del.Items, delRules.Items...), delPipes.Items...)
-		del.Rendered = append(append(del.Rendered, delRules.Rendered...), delPipes.Rendered...)
-		if len(del.Items) > 0 {
-			plan.Deletes = append(plan.Deletes, del)
-		}
-		if len(creates.Items) > 0 {
-			plan.Creates = append(plan.Creates, creates)
-		}
-	}
-	return plan, nil
+	return &Plan{
+		Intent: intent, Path: path, Deletes: sp.Deletes, Creates: sp.Creates,
+		InPlace: sp.InPlace, Unreachable: sp.Unreachable,
+		touched: scriptDevices(scripts), pruned: sp.pruned, handleDeps: sp.handleDeps,
+	}, nil
 }
 
-// PlanDestroy computes the teardown plan for an intent: every component
-// of the intent's configuration that is actually present is deleted
-// (switch rules first, then pipes, in reverse creation order). Planning
-// sends no configuration commands.
+// projectIntent runs the store planner on a throwaway state holding only
+// the intent. Its stranded candidates are the devices a previous Apply
+// of the intent recorded.
+func (n *NM) projectIntent(intent Intent, path *Path, scripts []DeviceScript) (*storeState, *StorePlan, error) {
+	ss := newStoreState()
+	if err := ss.mergeIntent(intent, path, scripts); err != nil {
+		return nil, nil, err
+	}
+	n.mu.Lock()
+	var recorded []core.DeviceID
+	for dev := range n.intentDevs[intent.Name] {
+		recorded = append(recorded, dev)
+	}
+	n.mu.Unlock()
+	sp := &StorePlan{}
+	if err := n.diffPass(ss, sp, nil, recorded); err != nil {
+		return nil, nil, err
+	}
+	return ss, sp, nil
+}
+
+// PlanDestroy computes the teardown plan for an intent as "bind, then
+// withdraw" in the intent's projection: the full rematch binds the
+// intent's components to what is installed, the deletions of observed
+// state it did not claim are dropped (it belongs to someone else), and
+// withdrawing the intent queues the deletion of exactly its bound
+// components — switch rules before pipes, each in reverse creation
+// order. Stranded devices are pruned as
+// in Plan. Planning sends no configuration commands.
 func (n *NM) PlanDestroy(intent Intent) (*Plan, error) {
-	path, desired, err := n.compileIntent(intent)
+	path, scripts, err := n.compileIntent(intent)
 	if err != nil {
 		return nil, err
 	}
-	devs := scriptDevices(desired)
-	stranded := n.strandedDevices(intent.Name, devs)
-	obs, unreachable, err := n.observe(append(append([]core.DeviceID(nil), devs...), stranded...), optionalSet(stranded))
+	ss, bound, err := n.projectIntent(intent, path, scripts)
 	if err != nil {
 		return nil, err
 	}
-	plan := &Plan{Intent: intent, Path: path, destroy: true, Unreachable: unreachable}
-	for _, dev := range stranded {
-		o := obs[dev]
-		if o == nil {
-			continue
-		}
-		plan.pruned = append(plan.pruned, dev)
-		if del := pruneAll(dev, o); len(del.Items) > 0 {
-			plan.Deletes = append(plan.Deletes, del)
+	plan := &Plan{Intent: intent, Path: path, destroy: true, Unreachable: bound.Unreachable, pruned: bound.pruned}
+	pruned := make(map[core.DeviceID]bool, len(bound.pruned))
+	for _, dev := range bound.pruned {
+		pruned[dev] = true
+	}
+	for _, ds := range bound.Deletes {
+		if pruned[ds.Device] {
+			plan.Deletes = append(plan.Deletes, ds)
 		}
 	}
-	for _, ds := range desired {
-		o := obs[ds.Device]
-		var rules, pipes DeviceScript
-		// Reverse creation order so dependent rules go before the pipes
-		// they were built on.
-		for i := len(ds.Items) - 1; i >= 0; i-- {
-			item := ds.Items[i]
-			switch {
-			case item.Switch != nil:
-				r := item.Switch.Rule
-				for j := range o.rules {
-					or := &o.rules[j]
-					if or.used || or.module != r.Module || or.from != r.From || or.to != r.To {
-						continue
-					}
-					if or.match != classifierKey(r.Match) || or.via != r.Via {
-						continue
-					}
-					or.used = true
-					di, rendered := deleteItem(core.DeleteRequest{
-						Kind: core.ComponentSwitchRule, Module: or.module, ID: or.id,
-					})
-					rules.Items = append(rules.Items, di)
-					rules.Rendered = append(rules.Rendered, rendered)
-					break
-				}
-			case item.Pipe != nil:
-				got, exists := o.pipes[item.Pipe.ID]
-				if !exists || got.lower.IsZero() {
-					continue
-				}
-				di, rendered := deleteItem(core.DeleteRequest{
-					Kind: core.ComponentPipe, Module: got.lower, ID: string(item.Pipe.ID),
-				})
-				pipes.Items = append(pipes.Items, di)
-				pipes.Rendered = append(pipes.Rendered, rendered)
-			}
-		}
-		del := DeviceScript{Device: ds.Device}
-		del.Items = append(append(del.Items, rules.Items...), pipes.Items...)
-		del.Rendered = append(append(del.Rendered, rules.Rendered...), pipes.Rendered...)
-		if len(del.Items) > 0 {
-			plan.Deletes = append(plan.Deletes, del)
+	for _, du := range ss.unions {
+		du.pendingDelRules, du.pendingDelPipes = nil, nil
+	}
+	ss.removeContribs(intent.Name)
+	withdrawn := &StorePlan{}
+	for _, dev := range ss.order {
+		du := ss.unions[dev]
+		// Reverse creation order, as a teardown undoes a build.
+		slices.Reverse(du.pendingDelRules)
+		slices.Reverse(du.pendingDelPipes)
+		if ce := ss.cache[dev]; ce != nil {
+			du.deltaDiff(n, ce.o, withdrawn)
 		}
 	}
+	plan.Deletes = append(plan.Deletes, withdrawn.Deletes...)
 	return plan, nil
 }
 
 // Apply reconciles the network toward the plan's intent: stale
-// components are deleted first, then missing ones created, both through
-// the wave executor (one batch per device per phase, concurrently
-// across devices unless n.Sequential). Applying an empty plan sends
-// nothing; applying the same intent's fresh Plan right after a
-// successful Apply is therefore a no-op.
+// components are deleted first, then missing ones created, through the
+// same executor as ApplyStore. Applying an empty plan sends nothing;
+// applying the same intent's fresh Plan right after a successful Apply
+// is therefore a no-op.
 func (n *NM) Apply(plan *Plan) error {
 	// The per-intent path writes device state behind the store's
 	// observation cache, so every touched device's generation is bumped
 	// and the next store pass observes it fresh.
-	touched := make(map[core.DeviceID]bool)
-	for _, ds := range plan.Deletes {
-		touched[ds.Device] = true
-	}
-	for _, ds := range plan.Creates {
-		touched[ds.Device] = true
+	touched := scriptDeviceSet(plan.Deletes)
+	for dev := range scriptDeviceSet(plan.Creates) {
+		touched[dev] = true
 	}
 	defer n.invalidateDevices(touched)
-	if len(plan.Deletes) > 0 {
-		if err := n.Execute(plan.Deletes); err != nil {
-			return fmt.Errorf("nm: apply %q (teardown phase): %w", plan.Intent.Name, err)
-		}
+	if err := n.execute(fmt.Sprintf("apply %q", plan.Intent.Name), plan.Deletes, plan.Creates,
+		plan.handleDeps, plan.pruned, plan.Unreachable, nil, nil); err != nil {
+		return err
 	}
-	if len(plan.Creates) > 0 {
-		if err := n.Execute(plan.Creates); err != nil {
-			return fmt.Errorf("nm: apply %q: %w", plan.Intent.Name, err)
-		}
-	}
-	// Dependency maintenance (§II-E): watch every provider component a
-	// desired rule embeds handles from, so churn fires a Trigger.
-	if err := n.installHandleTriggers(plan.handleDeps); err != nil {
-		return fmt.Errorf("nm: apply %q (triggers): %w", plan.Intent.Name, err)
-	}
-	n.markStale(plan.pruned, plan.Unreachable)
 	n.recordIntent(plan)
+	return nil
+}
+
+// execute is the one executor behind Apply and ApplyStore: deletes, then
+// creates, then a dependency-maintenance trigger on every provider
+// component a desired rule embeds handles from (§II-E), then the
+// stale-device bookkeeping. A failed phase invalidates its devices'
+// observations. deleted and created, when set, run after their phase
+// succeeds (the store writes through its observation cache there).
+func (n *NM) execute(op string, deletes, creates []DeviceScript, deps []handleDep, pruned, unreachable []core.DeviceID,
+	deleted func(), created func([]msg.CommandBatchResp)) error {
+	if len(deletes) > 0 {
+		if _, err := n.executeCollect(deletes); err != nil {
+			n.invalidateDevices(scriptDeviceSet(deletes))
+			return fmt.Errorf("nm: %s (teardown phase): %w", op, err)
+		}
+		if deleted != nil {
+			deleted()
+		}
+	}
+	if len(creates) > 0 {
+		resps, err := n.executeCollect(creates)
+		if err != nil {
+			n.invalidateDevices(scriptDeviceSet(creates))
+			return fmt.Errorf("nm: %s: %w", op, err)
+		}
+		if created != nil {
+			created(resps)
+		}
+	}
+	if err := n.installHandleTriggers(deps); err != nil {
+		return fmt.Errorf("nm: %s (triggers): %w", op, err)
+	}
+	n.markStale(pruned, unreachable)
 	return nil
 }
 

@@ -38,8 +38,8 @@
 // devices therefore coexist — their shared components are configured
 // once and survive until the last owner is withdrawn — and withdrawing
 // one goal removes exactly its unshared components. PlanStore is the
-// dry-run form of Reconcile; NM.Plan remains the per-intent dry-run
-// view. Pipe identity in the store is structural (endpoint modules,
+// dry-run form of Reconcile; NM.Plan is the same planner run on a
+// throwaway store holding only its one intent. Pipe identity in the store is structural (endpoint modules,
 // remote peers, dependency choices), so reconciliation adopts the wire
 // ids of matching installed pipes instead of churning them.
 //
@@ -260,16 +260,12 @@ type NM struct {
 	// callRetries counts request retransmissions issued by call().
 	callRetries atomic.Uint64
 
-	// Sequential restores the strictly one-device-at-a-time behaviour
-	// for DiscoverAll and Execute (the paper's original accounting mode,
-	// and a safe fallback for channels that cannot carry concurrent
-	// traffic). The default is concurrent fan-out. Set before the first
+	// Workers bounds the concurrent fan-out of DiscoverAll, observation
+	// and Execute. Zero or negative selects DefaultWorkers; 1 runs
+	// everything strictly one device at a time, in order (the paper's
+	// sequential accounting mode, and a safe fallback for channels that
+	// cannot carry concurrent traffic). Set before the first
 	// DiscoverAll/Execute call; it is read without locking.
-	Sequential bool
-
-	// Workers bounds the concurrent fan-out of DiscoverAll and of each
-	// Execute wave. Zero or negative selects DefaultWorkers. Set before
-	// the first DiscoverAll/Execute call; it is read without locking.
 	Workers int
 }
 
@@ -375,14 +371,14 @@ func (n *NM) EnableMessageLog() {
 // the arrival interleave across streams is nondeterministic, so the
 // trace is returned in canonical order — streams sorted by name, each
 // stream's entries in causal sequence — which is byte-reproducible run
-// to run. In Sequential mode arrival order is itself deterministic and
+// to run. With one worker arrival order is itself deterministic and
 // chronological (the paper's Fig 3 is a time-ordered sequence diagram),
 // so the trace keeps it.
 func (n *NM) MessageLog() []string {
 	n.mu.Lock()
 	entries := append([]logEntry(nil), n.msgLog...)
 	n.mu.Unlock()
-	if !n.Sequential {
+	if n.workerCount() != 1 {
 		sort.SliceStable(entries, func(i, j int) bool {
 			if entries[i].stream != entries[j].stream {
 				return entries[i].stream < entries[j].stream
@@ -882,9 +878,9 @@ func (n *NM) SelfTest(module core.ModuleRef, pipe core.PipeID) (bool, string, er
 }
 
 // DiscoverAll invokes showPotential on every device that said hello.
-// Devices are queried concurrently on a bounded worker pool unless
-// n.Sequential is set; the result (the NM's device/module knowledge) is
-// identical in both modes, only wall-clock time differs.
+// Devices are queried concurrently on the bounded worker pool; the
+// result (the NM's device/module knowledge) is identical at any worker
+// count, only wall-clock time differs.
 func (n *NM) DiscoverAll() error {
 	devs := n.Devices()
 	return n.forEach(len(devs), func(i int) error {
@@ -901,16 +897,17 @@ func (n *NM) workerCount() int {
 	return DefaultWorkers
 }
 
-// forEach runs fn(0..count-1) on a bounded worker pool (or in order when
-// n.Sequential is set). All indexes run even if some fail; the returned
-// error is the lowest-index one, so failures are reported
-// deterministically regardless of goroutine scheduling.
+// forEach runs fn(0..count-1) on a bounded worker pool (in order, stopping
+// at the first error, with one worker). Concurrently, all indexes run
+// even if some fail; the returned error is the lowest-index one, so
+// failures are reported deterministically regardless of goroutine
+// scheduling.
 func (n *NM) forEach(count int, fn func(i int) error) error {
 	workers := n.workerCount()
 	if workers > count {
 		workers = count
 	}
-	if n.Sequential || workers <= 1 {
+	if workers <= 1 {
 		for i := 0; i < count; i++ {
 			if err := fn(i); err != nil {
 				return err

@@ -16,7 +16,6 @@ package nm
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"conman/internal/core"
@@ -362,9 +361,11 @@ type deviceUnion struct {
 	// each is still waiting to be bound to an observed component or
 	// created on the device.
 	newItems []unionItem
-	// pendingDelRules/pendingDelPipes are bound components whose last
-	// owner withdrew; the next pass deletes them (rules before pipes)
-	// without a full sweep.
+	// pendingDelRules/pendingDelPipes are installed components queued
+	// for deletion (rules before pipes): bound components whose last
+	// owner withdrew, or — after a full rematch — every observed one no
+	// desired component re-adopted. Adoption cancels an entry by
+	// blanking its ID.
 	pendingDelRules []core.DeleteRequest
 	pendingDelPipes []core.DeleteRequest
 	// classes indexes value-carrying classifier rules by (module, entry,
@@ -499,17 +500,12 @@ func (du *deviceUnion) conflicts() error {
 
 // mergeScripts folds one intent's compiled device scripts into the
 // per-device unions, recording ownership (refcounting) per component.
-func mergeScripts(unions map[core.DeviceID]*deviceUnion, order *[]core.DeviceID, name string, scripts []DeviceScript) {
-	_ = mergeScriptsCtx(nil, unions, order, name, scripts)
-}
-
-// mergeScriptsCtx is mergeScripts with incremental bookkeeping: when ss
-// is non-nil it records contribution refs (so a later withdraw/update
-// can remove exactly this intent's share), maintains the sharing
-// tallies and the per-device conflict-class index, and reports
+// When ss is non-nil it also records contribution refs (so a later
+// withdraw/update can remove exactly this intent's share), maintains the
+// sharing tallies and the per-device conflict-class index, and reports
 // classifier conflicts as they merge. A conflict aborts the merge with
 // this intent's partial contributions rolled back.
-func mergeScriptsCtx(ss *storeState, unions map[core.DeviceID]*deviceUnion, order *[]core.DeviceID, name string, scripts []DeviceScript) error {
+func mergeScripts(ss *storeState, unions map[core.DeviceID]*deviceUnion, order *[]core.DeviceID, name string, scripts []DeviceScript) error {
 	var contrib *intentContrib
 	if ss != nil {
 		contrib = ss.contribs[name]
@@ -596,205 +592,4 @@ func ownersSuffix(owners []string) string {
 		return ""
 	}
 	return "  [shared: " + strings.Join(owners, ", ") + "]"
-}
-
-// diff reconciles one device's whole union against its observed state
-// (the full rematch), appending delete/create batches to the plan.
-// Pipes are matched by content (adopting observed wire ids so surviving
-// configuration is untouched); anything observed that no desired
-// component claims is stale and deleted, rules before pipes. The NM is
-// consulted for handle-freshness probes on rules that embed exported
-// low-level fields (§II-E). On return the union's incremental
-// bookkeeping is rebuilt from scratch: newItems holds exactly the
-// create-pending components and pendingDel* exactly the queued
-// deletions, so a plan that is never applied re-emits the same work
-// through the delta path next pass.
-func (du *deviceUnion) diff(n *NM, o *observed, plan *StorePlan) {
-	o.ensureIndex()
-	o.compactRules()
-	// Reset every binding: the rematch re-derives them all.
-	o.claimed = make(map[core.PipeID]bool)
-	for j := range o.rules {
-		o.rules[j].used = false
-	}
-	du.bound = 0
-	du.pendingDelRules, du.pendingDelPipes = nil, nil
-	for _, it := range du.items {
-		switch {
-		case it.pipe != nil:
-			it.pipe.inPlace = false
-			it.pipe.id = ""
-		case it.rule != nil:
-			it.rule.kept = false
-			it.rule.boundID = ""
-		}
-	}
-	// Pipe pass 1: bind desired pipes to observed ones by content.
-	obsIDs := make([]core.PipeID, 0, len(o.pipes))
-	for id := range o.pipes {
-		obsIDs = append(obsIDs, id)
-	}
-	sort.Slice(obsIDs, func(i, j int) bool { return obsIDs[i] < obsIDs[j] })
-	for _, it := range du.items {
-		if it.pipe == nil || it.pipe.gone {
-			continue
-		}
-		for _, id := range obsIDs {
-			if o.claimed[id] {
-				continue
-			}
-			if o.pipes[id].matches(it.pipe.req) {
-				it.pipe.id, it.pipe.inPlace, o.claimed[id] = id, true, true
-				du.bound++
-				plan.InPlace++
-				break
-			}
-		}
-	}
-	// Pipe pass 2: allocate fresh wire ids for missing pipes, avoiding
-	// every id observed on the device (stale pipes are deleted in the
-	// same reconcile, but their ids are not reused within it).
-	used := make(map[core.PipeID]bool, len(obsIDs))
-	for _, id := range obsIDs {
-		used[id] = true
-	}
-	next := 0
-	for _, it := range du.items {
-		if it.pipe == nil || it.pipe.gone || it.pipe.inPlace {
-			continue
-		}
-		for {
-			cand := core.PipeID(fmt.Sprintf("P%d", next))
-			next++
-			if !used[cand] {
-				it.pipe.id = cand
-				used[cand] = true
-				break
-			}
-		}
-	}
-	for id := range used {
-		o.usedIDs[id] = true
-	}
-	// Rule pass: a desired rule is kept iff an identical installed rule
-	// exists and every NM-created pipe it references is in place (a rule
-	// on a freshly created pipe resolves to a fresh id no installed rule
-	// can match).
-	for _, it := range du.items {
-		if it.rule == nil || it.rule.gone {
-			continue
-		}
-		// The rule consumes exported handles when it steers into a pipe
-		// whose lower module is a *different* module that advertises
-		// HandleFields (an egress rule's To pipe has the rule's own
-		// module below it — nothing is embedded).
-		exports := it.rule.toPipe != nil && it.rule.toPipe.req.Lower != it.rule.rule.Module &&
-			n.handleExporter(it.rule.toPipe.req.Lower)
-		if exports {
-			// The rule embeds fields the To pipe's lower module exports:
-			// register the dependency so ApplyStore installs a trigger.
-			plan.handleDeps = append(plan.handleDeps, handleDep{
-				it.rule.toPipe.req.Lower, "pipe:" + string(it.rule.toPipe.id),
-			})
-		}
-		if !pipesReady(it.rule) {
-			continue
-		}
-		rr := it.rule.resolved()
-		// The index key carries module, endpoints, classifier and the
-		// concrete resolutions, so resolved-value drift (SetDomain /
-		// SetGateway changed since install) simply fails to match and the
-		// rule is replaced.
-		for _, j := range o.ruleIdx[desiredRuleKey(rr, it.rule.matchResolved, it.rule.viaResolved)] {
-			or := &o.rules[j]
-			if or.used || or.id == "" {
-				continue
-			}
-			// Stale embedded handle (§II-E): the provider below the To
-			// pipe regenerated its exported fields since this rule was
-			// installed (e.g. an NHLFE renumbered by pipe churn), so the
-			// installed rule's embedded copy points at dead state even
-			// though its abstract and resolved forms still match —
-			// replace it.
-			if exports && !n.handleFresh(it.rule.toPipe.req.Lower, rr.To, or.handle) {
-				continue
-			}
-			or.used = true
-			it.rule.kept, it.rule.boundID = true, or.id
-			du.bound++
-			plan.InPlace++
-			break
-		}
-	}
-	// Stale observed state: rules no desired component kept, then pipes
-	// no desired component claimed. Recorded as pending deletions too,
-	// so a dropped plan re-queues them instead of losing them.
-	del := DeviceScript{Device: du.dev}
-	for j := range o.rules {
-		or := &o.rules[j]
-		if or.used || or.id == "" {
-			continue
-		}
-		req := core.DeleteRequest{Kind: core.ComponentSwitchRule, Module: or.module, ID: or.id}
-		du.pendingDelRules = append(du.pendingDelRules, req)
-		di, rendered := deleteItem(req)
-		del.Items = append(del.Items, di)
-		del.Rendered = append(del.Rendered, rendered)
-	}
-	for _, id := range obsIDs {
-		if o.claimed[id] || o.pipes[id].lower.IsZero() {
-			continue
-		}
-		req := core.DeleteRequest{Kind: core.ComponentPipe, Module: o.pipes[id].lower, ID: string(id)}
-		du.pendingDelPipes = append(du.pendingDelPipes, req)
-		di, rendered := deleteItem(req)
-		del.Items = append(del.Items, di)
-		del.Rendered = append(del.Rendered, rendered)
-	}
-	if len(del.Items) > 0 {
-		plan.Deletes = append(plan.Deletes, del)
-	}
-	// Creates, in first-appearance order across the intents; newItems is
-	// rebuilt to exactly this create-pending set.
-	creates := DeviceScript{Device: du.dev}
-	var binds []bindTarget
-	newItems := du.newItems[:0]
-	for _, it := range du.items {
-		switch {
-		case it.pipe != nil && !it.pipe.gone && !it.pipe.inPlace:
-			creates.Items = append(creates.Items, msg.CommandItem{
-				Pipe: &msg.CreatePipeItem{ID: it.pipe.id, Req: it.pipe.req},
-			})
-			creates.Rendered = append(creates.Rendered,
-				renderPipeCreate(it.pipe.id, it.pipe.req)+ownersSuffix(it.pipe.owners))
-			binds = append(binds, bindTarget{pipe: it.pipe})
-			newItems = append(newItems, it)
-		case it.rule != nil && !it.rule.gone && !it.rule.kept:
-			rr := it.rule.resolved()
-			creates.Items = append(creates.Items, msg.CommandItem{
-				Switch: &msg.CreateSwitchReq{
-					Rule:          rr,
-					MatchResolved: it.rule.matchResolved,
-					ViaResolved:   it.rule.viaResolved,
-				},
-			})
-			creates.Rendered = append(creates.Rendered,
-				renderSwitchCreate(rr)+ownersSuffix(it.rule.owners))
-			binds = append(binds, bindTarget{rule: it.rule})
-			newItems = append(newItems, it)
-		case it.other != nil && !it.other.gone && !it.other.done:
-			creates.Items = append(creates.Items, it.other.item)
-			creates.Rendered = append(creates.Rendered, it.other.rendered)
-			binds = append(binds, bindTarget{other: it.other})
-			newItems = append(newItems, it)
-		}
-	}
-	du.newItems = newItems
-	if len(creates.Items) > 0 {
-		plan.Creates = append(plan.Creates, creates)
-		if plan.createBinds == nil {
-			plan.createBinds = make(map[core.DeviceID][]bindTarget)
-		}
-		plan.createBinds[du.dev] = binds
-	}
 }

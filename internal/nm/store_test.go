@@ -110,8 +110,8 @@ func TestUnionMergeDedupesSharedComponents(t *testing.T) {
 
 	unions := make(map[core.DeviceID]*deviceUnion)
 	var order []core.DeviceID
-	mergeScripts(unions, &order, "vpn-a", []DeviceScript{mkScript("c1")})
-	mergeScripts(unions, &order, "vpn-b", []DeviceScript{mkScript("c2")})
+	mergeScripts(nil, unions, &order, "vpn-a", []DeviceScript{mkScript("c1")})
+	mergeScripts(nil, unions, &order, "vpn-b", []DeviceScript{mkScript("c2")})
 
 	du := unions[dev]
 	if len(du.pipes) != 1 {
@@ -155,7 +155,7 @@ func TestDiffAdoptsObservedPipeIDs(t *testing.T) {
 	)
 	unions := make(map[core.DeviceID]*deviceUnion)
 	var order []core.DeviceID
-	mergeScripts(unions, &order, "vpn-a", []DeviceScript{ds})
+	mergeScripts(nil, unions, &order, "vpn-a", []DeviceScript{ds})
 
 	o := &observed{
 		pipes: map[core.PipeID]obsPipe{
@@ -220,8 +220,8 @@ func TestStoreConflictDetection(t *testing.T) {
 	}
 	unions := make(map[core.DeviceID]*deviceUnion)
 	var order []core.DeviceID
-	mergeScripts(unions, &order, "a", []DeviceScript{mk(gre)})
-	mergeScripts(unions, &order, "b", []DeviceScript{mk(mpls)})
+	mergeScripts(nil, unions, &order, "a", []DeviceScript{mk(gre)})
+	mergeScripts(nil, unions, &order, "b", []DeviceScript{mk(mpls)})
 
 	err := unions[dev].conflicts()
 	ce, ok := err.(*ConflictError)
@@ -271,7 +271,7 @@ func TestStoreConflictTolerates(t *testing.T) {
 				return msg.CommandItem{Switch: &msg.CreateSwitchReq{Rule: r}}, renderSwitchCreate(r)
 			},
 		)
-		mergeScripts(unions, &order, name, []DeviceScript{ds})
+		mergeScripts(nil, unions, &order, name, []DeviceScript{ds})
 	}
 	if err := unions[dev].conflicts(); err != nil {
 		t.Fatalf("false conflict: %v", err)

@@ -12,6 +12,7 @@ package nm
 import (
 	"fmt"
 	"sort"
+	"strconv"
 
 	"conman/internal/core"
 	"conman/internal/msg"
@@ -418,35 +419,24 @@ func (du *deviceUnion) classRemove(r *unionRule) {
 // ---------------------------------------------------------------------------
 // Observation-cache binding indexes
 
-// ensureIndex lazily builds the binding indexes a bare observed (as
+// ensureIndex lazily builds the binding bookkeeping a bare observed (as
 // tests construct it, or as observe() returns it) does not carry.
 func (o *observed) ensureIndex() {
-	if o.claimed == nil {
-		o.claimed = make(map[core.PipeID]bool)
-	}
 	if o.usedIDs == nil {
 		o.usedIDs = make(map[core.PipeID]bool)
 	}
-	if o.ruleIdx == nil {
-		o.rebuildRuleIndex()
-	}
-}
-
-func (o *observed) rebuildRuleIndex() {
-	o.ruleIdx = make(map[string][]int, len(o.rules))
-	o.ruleByID = make(map[string]int, len(o.rules))
-	for j := range o.rules {
-		or := &o.rules[j]
-		if or.id == "" { // tombstone
-			continue
+	if o.ruleByID == nil {
+		o.ruleByID = make(map[string]int, len(o.rules))
+		for j := range o.rules {
+			if id := o.rules[j].id; id != "" { // "" is a tombstone
+				o.ruleByID[id] = j
+			}
 		}
-		o.ruleIdx[or.key()] = append(o.ruleIdx[or.key()], j)
-		o.ruleByID[or.id] = j
 	}
 }
 
-// key is the binding identity of an installed rule — exactly the fields
-// the full diff compares when deciding whether a desired rule is kept.
+// key is the binding identity of an installed rule: exactly the fields a
+// desired rule must equal to be in place.
 func (or *obsRule) key() string {
 	return or.module.String() + "|" + string(or.from) + "|" + string(or.to) + "|" +
 		or.match + "|" + or.via + "|" + or.matchResolved + "|" + or.viaResolved
@@ -459,48 +449,43 @@ func desiredRuleKey(rr core.SwitchRule, matchResolved, viaResolved string) strin
 		classifierKey(rr.Match) + "|" + rr.Via + "|" + matchResolved + "|" + viaResolved
 }
 
+// pipeBind is the binding identity of a pipe: the modules and remote
+// peers a desired request must equal for an observed pipe to be in
+// place. A pipe whose far-end peer changed must be recreated so the
+// modules renegotiate (VID, keys, labels) with the new peer.
+type pipeBind struct{ upper, lower, upperPeer, lowerPeer core.ModuleRef }
+
+func reqBind(req core.PipeRequest) pipeBind {
+	return pipeBind{req.Upper, req.Lower, req.UpperPeer, req.LowerPeer}
+}
+
+// bind is an observed pipe's identity. The upper module of a pipe it
+// does not report is unconfirmed, so only a peer-less desired upper end
+// binds it.
+func (o obsPipe) bind() pipeBind {
+	b := pipeBind{o.upper, o.lower, o.upperPeer, o.lowerPeer}
+	if !o.upperSeen {
+		b.upperPeer = core.ModuleRef{}
+	}
+	return b
+}
+
 // addRule write-through-appends a just-installed rule.
 func (o *observed) addRule(or obsRule) {
-	j := len(o.rules)
+	o.ruleByID[or.id] = len(o.rules)
 	o.rules = append(o.rules, or)
-	o.ruleIdx[or.key()] = append(o.ruleIdx[or.key()], j)
-	o.ruleByID[or.id] = j
 }
 
 // tombstoneRule write-through-removes a just-deleted rule.
 func (o *observed) tombstoneRule(id string) {
-	j, ok := o.ruleByID[id]
-	if !ok {
-		return
+	if j, ok := o.ruleByID[id]; ok {
+		o.rules[j].id = ""
+		delete(o.ruleByID, id)
 	}
-	or := &o.rules[j]
-	key := or.key()
-	idx := o.ruleIdx[key]
-	for k, v := range idx {
-		if v == j {
-			o.ruleIdx[key] = append(idx[:k], idx[k+1:]...)
-			break
-		}
-	}
-	if len(o.ruleIdx[key]) == 0 {
-		delete(o.ruleIdx, key)
-	}
-	delete(o.ruleByID, id)
-	or.id = ""
 }
 
 // compactRules drops tombstones before a full rematch.
 func (o *observed) compactRules() {
-	dead := false
-	for j := range o.rules {
-		if o.rules[j].id == "" {
-			dead = true
-			break
-		}
-	}
-	if !dead {
-		return
-	}
 	keep := o.rules[:0]
 	for _, or := range o.rules {
 		if or.id != "" {
@@ -508,82 +493,94 @@ func (o *observed) compactRules() {
 		}
 	}
 	o.rules = keep
-	o.rebuildRuleIndex()
+	o.ruleByID = nil
+	o.ensureIndex()
 }
 
-// matchUnclaimed finds the lowest-id unclaimed observed pipe matching a
-// desired request.
-func (o *observed) matchUnclaimed(req core.PipeRequest) (core.PipeID, bool) {
-	ids := make([]core.PipeID, 0, len(o.pipes))
-	for id := range o.pipes {
-		if !o.claimed[id] {
-			ids = append(ids, id)
-		}
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		if o.pipes[id].matches(req) {
-			return id, true
-		}
-	}
-	return "", false
-}
-
-// allocPipeID allocates a wire id never observed on and never before
-// allocated for this device (deleted ids are not reused, so a delete
-// and a create of the same shape in one pass cannot collide).
+// allocPipeID allocates the lowest wire id never observed on and never
+// before allocated for this device (deleted ids are not reused, so a
+// delete and a create of the same shape in one pass cannot collide).
+// Allocation resumes at the cursor: ids below it are never reconsidered.
 func (o *observed) allocPipeID() core.PipeID {
-	for next := 0; ; next++ {
-		cand := core.PipeID(fmt.Sprintf("P%d", next))
-		if o.usedIDs[cand] {
-			continue
+	for ; ; o.nextID++ {
+		cand := core.PipeID("P" + strconv.Itoa(o.nextID))
+		if _, exists := o.pipes[cand]; !exists && !o.usedIDs[cand] {
+			o.usedIDs[cand] = true
+			o.nextID++
+			return cand
 		}
-		if _, exists := o.pipes[cand]; exists {
-			continue
-		}
-		o.usedIDs[cand] = true
-		return cand
 	}
 }
 
 // ---------------------------------------------------------------------------
-// Delta diff
+// The per-device diff
 
-// adoptPendingPipe cancels a queued pipe deletion whose installed pipe
-// matches a re-merged desired pipe (the update/resubmit path), so an
-// unchanged component is re-adopted instead of churned.
-func (du *deviceUnion) adoptPendingPipe(o *observed, req core.PipeRequest) (core.PipeID, bool) {
-	for i, dr := range du.pendingDelPipes {
-		id := core.PipeID(dr.ID)
-		op, ok := o.pipes[id]
-		if !ok || !op.matches(req) {
-			continue
-		}
-		du.pendingDelPipes = append(du.pendingDelPipes[:i], du.pendingDelPipes[i+1:]...)
-		return id, true
-	}
-	return "", false
+// pendingIndex maps the binding identity of each queued deletion to its
+// positions in the device's pending lists, so re-adopting installed
+// state is a lookup rather than a scan (a full rematch queues every
+// observed component).
+type pendingIndex struct {
+	pipes map[pipeBind][]int
+	rules map[string][]int
 }
 
-// adoptPendingRule is the rule-side cancellation: a queued rule
-// deletion whose installed form matches a re-merged desired rule is
-// dropped and the installed rule re-bound.
-func (du *deviceUnion) adoptPendingRule(n *NM, o *observed, key string, exports bool, provider core.ModuleRef, to core.PipeID) (string, bool) {
+func (du *deviceUnion) indexPending(o *observed) pendingIndex {
+	idx := pendingIndex{
+		pipes: make(map[pipeBind][]int, len(du.pendingDelPipes)),
+		rules: make(map[string][]int, len(du.pendingDelRules)),
+	}
+	for i, dr := range du.pendingDelPipes {
+		if op, ok := o.pipes[core.PipeID(dr.ID)]; ok {
+			b := op.bind()
+			idx.pipes[b] = append(idx.pipes[b], i)
+		}
+	}
 	for i, dr := range du.pendingDelRules {
-		j, ok := o.ruleByID[dr.ID]
-		if !ok {
+		if j, ok := o.ruleByID[dr.ID]; ok {
+			key := o.rules[j].key()
+			idx.rules[key] = append(idx.rules[key], i)
+		}
+	}
+	return idx
+}
+
+// adoptPipe cancels the first queued deletion of an installed pipe that
+// binds req (the lowest id after a full rematch, which queues them in id
+// order) and returns its id. A cancelled deletion's ID blanks to a
+// tombstone.
+func (du *deviceUnion) adoptPipe(idx pendingIndex, req core.PipeRequest) (core.PipeID, bool) {
+	b := reqBind(req)
+	ps := idx.pipes[b]
+	if len(ps) == 0 {
+		return "", false
+	}
+	idx.pipes[b] = ps[1:]
+	dr := &du.pendingDelPipes[ps[0]]
+	id := dr.ID
+	dr.ID = ""
+	return core.PipeID(id), true
+}
+
+// adoptRule is the rule-side cancellation: the first queued deletion of
+// an installed rule with the desired key whose embedded handle is still
+// fresh (when it embeds one) is dropped and the installed rule re-bound.
+func (du *deviceUnion) adoptRule(n *NM, o *observed, idx pendingIndex, r *unionRule, rr core.SwitchRule, exports bool) (string, bool) {
+	key := desiredRuleKey(rr, r.matchResolved, r.viaResolved)
+	ps := idx.rules[key]
+	for k, i := range ps {
+		dr := &du.pendingDelRules[i]
+		// Stale embedded handle (§II-E): the provider below the To pipe
+		// regenerated its exported fields since this rule was installed
+		// (e.g. an NHLFE renumbered by pipe churn), so the installed
+		// rule's embedded copy points at dead state even though its
+		// abstract and resolved forms still match — replace it.
+		if exports && !n.handleFresh(r.toPipe.req.Lower, rr.To, o.rules[o.ruleByID[dr.ID]].handle) {
 			continue
 		}
-		or := &o.rules[j]
-		if or.key() != key {
-			continue
-		}
-		if exports && !n.handleFresh(provider, to, or.handle) {
-			continue
-		}
-		du.pendingDelRules = append(du.pendingDelRules[:i], du.pendingDelRules[i+1:]...)
-		or.used = true
-		return or.id, true
+		idx.rules[key] = append(ps[:k:k], ps[k+1:]...)
+		id := dr.ID
+		dr.ID = ""
+		return id, true
 	}
 	return "", false
 }
@@ -592,13 +589,60 @@ func pipesReady(r *unionRule) bool {
 	return (r.fromPipe == nil || r.fromPipe.inPlace) && (r.toPipe == nil || r.toPipe.inPlace)
 }
 
-// deltaDiff reconciles only the pending work on a device whose cached
-// observation is valid and already bound (synced): queued deletions of
-// withdrawn components and newly merged components. Cost is O(pending),
-// independent of the union and store size — the incremental store's
-// fast path.
+// diff is the full rematch: a delta against an empty baseline. It
+// resets every binding, queues every observed rule and NM-created pipe
+// for deletion, makes every live union item pending again, and lets
+// deltaDiff re-adopt whatever the desired components match — surviving
+// configuration keeps its observed wire ids, and the rest is deleted.
+// A plan that is never applied re-emits the same work next pass.
+func (du *deviceUnion) diff(n *NM, o *observed, plan *StorePlan) {
+	o.compactRules()
+	du.bound = 0
+	du.pendingDelRules, du.pendingDelPipes = nil, nil
+	for _, or := range o.rules {
+		du.pendingDelRules = append(du.pendingDelRules, core.DeleteRequest{
+			Kind: core.ComponentSwitchRule, Module: or.module, ID: or.id,
+		})
+	}
+	ids := make([]core.PipeID, 0, len(o.pipes))
+	for id := range o.pipes {
+		ids = append(ids, id)
+	}
+	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	for _, id := range ids {
+		o.usedIDs[id] = true
+		// A pipe only reported from its upper end cannot be addressed.
+		if lower := o.pipes[id].lower; !lower.IsZero() {
+			du.pendingDelPipes = append(du.pendingDelPipes, core.DeleteRequest{
+				Kind: core.ComponentPipe, Module: lower, ID: string(id),
+			})
+		}
+	}
+	du.newItems = du.newItems[:0]
+	for _, it := range du.items {
+		switch {
+		case it.pipe != nil:
+			it.pipe.inPlace, it.pipe.id = false, ""
+		case it.rule != nil:
+			it.rule.kept, it.rule.boundID = false, ""
+		}
+		if !it.isGone() {
+			du.newItems = append(du.newItems, it)
+		}
+	}
+	du.deltaDiff(n, o, plan)
+}
+
+// deltaDiff is the one per-device diff: it decides, for every pending
+// desired component, whether it is in place — a queued deletion of a
+// matching installed component is cancelled and the component adopted —
+// and emits the device's remaining queued deletions (rules before the
+// pipes they reference) and creates. On a synced cache entry the pending
+// work is exactly the withdrawn and newly merged components, so the cost
+// is O(pending), independent of the union and store size.
 func (du *deviceUnion) deltaDiff(n *NM, o *observed, plan *StorePlan) {
 	o.ensureIndex()
+	idx := du.indexPending(o)
 	// Everything bound before this pass is in place by definition.
 	plan.InPlace += du.bound
 	creates := DeviceScript{Device: du.dev}
@@ -611,15 +655,8 @@ func (du *deviceUnion) deltaDiff(n *NM, o *observed, plan *StorePlan) {
 			if p.inPlace {
 				continue
 			}
-			if id, ok := du.adoptPendingPipe(o, p.req); ok {
+			if id, ok := du.adoptPipe(idx, p.req); ok {
 				p.id, p.inPlace = id, true
-				du.bound++
-				plan.InPlace++
-				continue
-			}
-			if id, ok := o.matchUnclaimed(p.req); ok {
-				p.id, p.inPlace = id, true
-				o.claimed[id] = true
 				du.bound++
 				plan.InPlace++
 				continue
@@ -639,6 +676,11 @@ func (du *deviceUnion) deltaDiff(n *NM, o *observed, plan *StorePlan) {
 			if r.kept {
 				continue
 			}
+			// The rule consumes exported handles when it steers into a
+			// pipe whose lower module is a *different* module that
+			// advertises HandleFields (an egress rule's To pipe has the
+			// rule's own module below it — nothing is embedded); the
+			// dependency makes the apply install a trigger.
 			exports := r.toPipe != nil && r.toPipe.req.Lower != r.rule.Module &&
 				n.handleExporter(r.toPipe.req.Lower)
 			if exports {
@@ -647,37 +689,15 @@ func (du *deviceUnion) deltaDiff(n *NM, o *observed, plan *StorePlan) {
 				})
 			}
 			rr := r.resolved()
+			// A rule on a freshly created pipe resolves to a fresh id no
+			// installed rule can match. The key carries the concrete
+			// resolutions, so resolved-value drift (SetDomain/SetGateway
+			// changed since install) fails to match and is replaced.
 			if pipesReady(r) {
-				key := desiredRuleKey(rr, r.matchResolved, r.viaResolved)
-				bound := false
-				for _, j := range o.ruleIdx[key] {
-					or := &o.rules[j]
-					if or.used || or.id == "" {
-						continue
-					}
-					if exports && !n.handleFresh(r.toPipe.req.Lower, rr.To, or.handle) {
-						continue
-					}
-					or.used = true
-					r.kept, r.boundID = true, or.id
+				if id, ok := du.adoptRule(n, o, idx, r, rr, exports); ok {
+					r.kept, r.boundID = true, id
 					du.bound++
 					plan.InPlace++
-					bound = true
-					break
-				}
-				if !bound {
-					var prov core.ModuleRef
-					if r.toPipe != nil {
-						prov = r.toPipe.req.Lower
-					}
-					if id, ok := du.adoptPendingRule(n, o, key, exports, prov, rr.To); ok {
-						r.kept, r.boundID = true, id
-						du.bound++
-						plan.InPlace++
-						bound = true
-					}
-				}
-				if bound {
 					continue
 				}
 			}
@@ -702,18 +722,10 @@ func (du *deviceUnion) deltaDiff(n *NM, o *observed, plan *StorePlan) {
 	du.newItems = keep
 	// Deletes after adoption so cancelled ones never hit the wire; the
 	// executor still runs all Deletes before any Creates.
-	if len(du.pendingDelRules)+len(du.pendingDelPipes) > 0 {
-		del := DeviceScript{Device: du.dev}
-		for _, req := range du.pendingDelRules {
-			di, rendered := deleteItem(req)
-			del.Items = append(del.Items, di)
-			del.Rendered = append(del.Rendered, rendered)
-		}
-		for _, req := range du.pendingDelPipes {
-			di, rendered := deleteItem(req)
-			del.Items = append(del.Items, di)
-			del.Rendered = append(del.Rendered, rendered)
-		}
+	del := DeviceScript{Device: du.dev}
+	du.pendingDelRules = appendDeletes(&del, du.pendingDelRules)
+	du.pendingDelPipes = appendDeletes(&del, du.pendingDelPipes)
+	if len(del.Items) > 0 {
 		plan.Deletes = append(plan.Deletes, del)
 	}
 	if len(creates.Items) > 0 {
@@ -723,6 +735,22 @@ func (du *deviceUnion) deltaDiff(n *NM, o *observed, plan *StorePlan) {
 		}
 		plan.createBinds[du.dev] = binds
 	}
+}
+
+// appendDeletes renders a deletion queue's live entries into del and
+// returns the queue without its cancelled tombstones.
+func appendDeletes(del *DeviceScript, queue []core.DeleteRequest) []core.DeleteRequest {
+	live := queue[:0]
+	for _, req := range queue {
+		if req.ID == "" {
+			continue
+		}
+		live = append(live, req)
+		di, rendered := deleteItem(req)
+		del.Items = append(del.Items, di)
+		del.Rendered = append(del.Rendered, rendered)
+	}
+	return live
 }
 
 // ---------------------------------------------------------------------------
@@ -798,26 +826,74 @@ func (n *NM) planStoreLocked() (*StorePlan, error) {
 	for i, name := range dirty {
 		intent := intents[name]
 		path, scripts, err := n.compileIntent(intent)
-		if err != nil {
-			n.requeueDirty(dirty[i:])
-			return nil, fmt.Errorf("nm: reconcile: %w", err)
+		if err == nil {
+			err = ss.mergeIntent(intent, path, scripts)
+		} else {
+			err = fmt.Errorf("nm: reconcile: %w", err)
 		}
-		plan.Stats.Recompiled++
-		devs := scriptDevices(scripts)
-		ss.removeContribs(name)
-		ss.contribs[name] = &intentContrib{path: path, devices: devs}
-		ss.setView(IntentView{Intent: intent, Path: path, Devices: devs})
-		if err := mergeScriptsCtx(ss, ss.unions, &ss.order, name, scripts); err != nil {
-			delete(ss.contribs, name)
-			ss.removeView(name)
+		if err != nil {
 			n.requeueDirty(dirty[i:])
 			return nil, err
 		}
-		ss.recordsDirty[name] = true
-		delete(ss.removedIntents, name)
+		plan.Stats.Recompiled++
 	}
 
-	// Device classification: what does each occupied device need?
+	// Stranded candidates: devices committed intent records occupy.
+	recorded := make([]core.DeviceID, 0, len(ss.recordedCount))
+	for dev, cnt := range ss.recordedCount {
+		if cnt > 0 {
+			recorded = append(recorded, dev)
+		}
+	}
+	if err := n.diffPass(ss, plan, gens, recorded); err != nil {
+		return nil, err
+	}
+
+	// The plan captures the views slice without copying (O(changed), not
+	// O(store)); mutators clone before the next write. Elements are
+	// effectively immutable once captured.
+	plan.Views = ss.views
+	ss.viewsShared = true
+	plan.Shared = ss.shared
+	for name := range ss.recordsDirty {
+		if c := ss.contribs[name]; c != nil {
+			plan.records[name] = c.devices
+		}
+	}
+	for name := range ss.removedIntents {
+		plan.removedIntents = append(plan.removedIntents, name)
+	}
+	sort.Strings(plan.removedIntents)
+	ss.passSeq++
+	plan.pass = ss.passSeq
+	return plan, nil
+}
+
+// mergeIntent replaces an intent's share of the union with its freshly
+// compiled scripts. A conflict leaves the intent out of the union.
+func (ss *storeState) mergeIntent(intent Intent, path *Path, scripts []DeviceScript) error {
+	name := intent.Name
+	devs := scriptDevices(scripts)
+	ss.removeContribs(name)
+	ss.contribs[name] = &intentContrib{path: path, devices: devs}
+	ss.setView(IntentView{Intent: intent, Path: path, Devices: devs})
+	if err := mergeScripts(ss, ss.unions, &ss.order, name, scripts); err != nil {
+		delete(ss.contribs, name)
+		ss.removeView(name)
+		return err
+	}
+	ss.recordsDirty[name] = true
+	delete(ss.removedIntents, name)
+	return nil
+}
+
+// diffPass classifies every occupied device of ss (skip, delta against
+// a synced cache entry, or full rematch), observes the cache misses and
+// the stranded devices — recorded candidates, plus devices flagged
+// stale, that no union occupies — prunes the stranded ones, and diffs
+// the rest into plan. gens are the device observation generations the
+// fresh observations are cached at.
+func (n *NM) diffPass(ss *storeState, plan *StorePlan, gens map[core.DeviceID]uint64, recorded []core.DeviceID) error {
 	const (
 		actSkip = iota
 		actFull
@@ -857,13 +933,13 @@ func (n *NM) planStoreLocked() (*StorePlan, error) {
 	// Stranded devices — occupied only by withdrawn or rerouted goals,
 	// or flagged unreachable-with-stale-state — are always probed fresh:
 	// the cache cannot vouch for a device we are about to stop watching.
-	n.mu.Lock()
 	strandedSet := make(map[core.DeviceID]bool)
-	for dev, cnt := range ss.recordedCount {
-		if cnt > 0 && !occupied[dev] {
+	for _, dev := range recorded {
+		if !occupied[dev] {
 			strandedSet[dev] = true
 		}
 	}
+	n.mu.Lock()
 	for dev := range n.staleDevs {
 		if !occupied[dev] {
 			strandedSet[dev] = true
@@ -876,7 +952,7 @@ func (n *NM) planStoreLocked() (*StorePlan, error) {
 		append(append([]core.DeviceID(nil), required...), stranded...),
 		optionalSet(stranded))
 	if err != nil {
-		return nil, err
+		return err
 	}
 	plan.Unreachable = unreachable
 	plan.Stats.Observed = len(obs)
@@ -914,25 +990,7 @@ func (n *NM) planStoreLocked() (*StorePlan, error) {
 			plan.Stats.DiffedDevices++
 		}
 	}
-
-	// The plan captures the views slice without copying (O(changed), not
-	// O(store)); mutators clone before the next write. Elements are
-	// effectively immutable once captured.
-	plan.Views = ss.views
-	ss.viewsShared = true
-	plan.Shared = ss.shared
-	for name := range ss.recordsDirty {
-		if c := ss.contribs[name]; c != nil {
-			plan.records[name] = c.devices
-		}
-	}
-	for name := range ss.removedIntents {
-		plan.removedIntents = append(plan.removedIntents, name)
-	}
-	sort.Strings(plan.removedIntents)
-	ss.passSeq++
-	plan.pass = ss.passSeq
-	return plan, nil
+	return nil
 }
 
 // requeueDirty re-marks still-registered intents dirty after a failed
@@ -1039,28 +1097,19 @@ func (n *NM) applyStoreLocked(plan *StorePlan) error {
 		}
 	}
 
-	if len(plan.Deletes) > 0 {
-		if _, err := n.executeCollect(plan.Deletes); err != nil {
-			n.invalidateDevices(scriptDeviceSet(plan.Deletes))
-			n.clearExpected()
-			return fmt.Errorf("nm: reconcile (teardown phase): %w", err)
-		}
-		// Write the deletions through the observation cache and retire
-		// the queued work they came from.
+	// Write each phase through the observation cache: deletions retire
+	// the queued work they came from, creates bind to the ids the
+	// devices reported.
+	deleted := func() {
 		for _, ds := range plan.Deletes {
 			if ce := ss.cache[ds.Device]; ce != nil && ce.o != nil {
 				ce.o.ensureIndex()
 				for _, item := range ds.Items {
-					if item.Delete == nil {
-						continue
-					}
 					switch item.Delete.Req.Kind {
 					case core.ComponentSwitchRule:
 						ce.o.tombstoneRule(item.Delete.Req.ID)
 					case core.ComponentPipe:
-						id := core.PipeID(item.Delete.Req.ID)
-						delete(ce.o.pipes, id)
-						delete(ce.o.claimed, id)
+						delete(ce.o.pipes, core.PipeID(item.Delete.Req.ID))
 					}
 				}
 			}
@@ -1069,26 +1118,16 @@ func (n *NM) applyStoreLocked(plan *StorePlan) error {
 			}
 		}
 	}
-
-	if len(plan.Creates) > 0 {
-		resps, err := n.executeCollect(plan.Creates)
-		if err != nil {
-			n.invalidateDevices(scriptDeviceSet(plan.Creates))
-			n.clearExpected()
-			return fmt.Errorf("nm: reconcile: %w", err)
-		}
+	created := func(resps []msg.CommandBatchResp) {
 		for i, ds := range plan.Creates {
 			n.bindCreatesLocked(ds, resps[i], plan.createBinds[ds.Device])
 		}
 	}
-
-	// Dependency maintenance (§II-E): watch every provider component a
-	// desired rule embeds handles from, so churn fires a Trigger.
-	if err := n.installHandleTriggers(plan.handleDeps); err != nil {
+	if err := n.execute("reconcile", plan.Deletes, plan.Creates, plan.handleDeps,
+		plan.pruned, plan.Unreachable, deleted, created); err != nil {
 		n.clearExpected()
-		return fmt.Errorf("nm: reconcile (triggers): %w", err)
+		return err
 	}
-	n.markStale(plan.pruned, plan.Unreachable)
 	for _, dev := range plan.pruned {
 		delete(ss.cache, dev)
 		if du := ss.unions[dev]; du != nil && du.live == 0 {
@@ -1195,7 +1234,6 @@ func (n *NM) bindCreatesLocked(ds DeviceScript, resp msg.CommandBatchResp, binds
 				upperPeer: p.req.UpperPeer, lowerPeer: p.req.LowerPeer,
 				upperSeen: true,
 			}
-			o.claimed[p.id] = true
 			o.usedIDs[p.id] = true
 		case b.rule != nil:
 			r := b.rule
@@ -1218,7 +1256,6 @@ func (n *NM) bindCreatesLocked(ds DeviceScript, resp msg.CommandBatchResp, binds
 				id: res.RuleID, module: rr.Module, from: rr.From, to: rr.To,
 				match: classifierKey(rr.Match), via: rr.Via,
 				matchResolved: r.matchResolved, viaResolved: r.viaResolved,
-				used: true,
 			})
 		case b.other != nil:
 			b.other.done = true
