@@ -7,9 +7,10 @@ package conman_test
 import (
 	"fmt"
 	"net/netip"
+	"sync/atomic"
 	"testing"
-	"time"
 
+	"conman/internal/bench"
 	"conman/internal/channel"
 	"conman/internal/core"
 	"conman/internal/experiments"
@@ -279,14 +280,24 @@ func BenchmarkDataPlaneForwarding(b *testing.B) {
 			if err := d.SendProbeFrom(src, dst, 1); err != nil {
 				b.Fatal(err)
 			}
+			tb.Net.Flush()
+			// Count deliveries as they happen: the kernel's probe log is
+			// bounded, so its length cannot confirm b.N deliveries.
+			var delivered atomic.Int64
+			tb.Customer["E"].OnProbe = func(ev kernel.ProbeEvent) {
+				if ev.Op == packet.ProbeEcho {
+					delivered.Add(1)
+				}
+			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if err := d.SendProbeFrom(src, dst, uint32(i+10)); err != nil {
 					b.Fatal(err)
 				}
 			}
+			tb.Net.Flush()
 			b.StopTimer()
-			if got := len(tb.Customer["E"].ProbeEchoes()); got < b.N {
+			if got := delivered.Load(); got != int64(b.N) {
 				b.Fatalf("delivered %d of %d", got, b.N)
 			}
 		})
@@ -321,58 +332,36 @@ func BenchmarkPacketCodec(b *testing.B) {
 	})
 }
 
-// BenchmarkFindPath compares the two path-search engines on the L2
-// chains whose variant space is exponential: the legacy
-// enumerate-then-filter DFS (capped at DefaultMaxPaths) against the
-// goal-directed best-first search. The "expanded" metric is the number
-// of search states explored — the asymptotic win the best-first
-// refactor buys on the NM's hottest code path.
-func BenchmarkFindPath(b *testing.B) {
-	sc, err := experiments.LinearScenarioByName("VLAN")
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, n := range []int{16, 64, 128} {
-		g, base, err := sc.FindPathSpec(n)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, mode := range []string{"exhaustive", "best-first"} {
-			b.Run(fmt.Sprintf("n=%d/%s", n, mode), func(b *testing.B) {
-				spec := base
-				spec.Exhaustive = mode == "exhaustive"
-				var stats nm.PruneStats
-				for i := 0; i < b.N; i++ {
-					p, s, err := g.FindBest(spec)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if p == nil {
-						b.Fatalf("no %q path at n=%d", sc.PathDesc, n)
-					}
-					stats = s
-				}
-				b.ReportMetric(float64(stats.Expanded), "expanded")
-			})
-		}
-	}
-}
-
 // ---------------------------------------------------------------------------
-// Scale suite: sequential vs concurrent NM on linear-n chains
+// Scale suite: the bench registry's rows, plus discovery on linear-n
+// chains
 
-// simRTT emulates the propagation delay of a real management channel
-// (the paper's separate management NIC). Sequential configuration pays
-// it once per message in series; the concurrent NM overlaps it.
-const simRTT = 200 * time.Microsecond
-
-// benchWorkers maps a scale-suite mode to the NM's worker bound: one
-// worker is the paper's sequential accounting mode.
-func benchWorkers(mode string) int {
-	if mode == "sequential" {
-		return 1
+// BenchmarkRows runs every row of the bench registry (internal/bench),
+// the rows `conman bench` writes to BENCH_scale.json, as one
+// sub-benchmark each. It reports the row's measured seconds and exact
+// counts, and fails on the registry's in-bench gates as `conman bench`
+// does.
+func BenchmarkRows(b *testing.B) {
+	var done []bench.Result
+	for _, row := range bench.Rows() {
+		b.Run(row.Key.String(), func(b *testing.B) {
+			var r bench.Result
+			for i := 0; i < b.N; i++ {
+				var err error
+				if r, err = row.Run(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if err := row.Check(r, done); err != nil {
+				b.Fatal(err)
+			}
+			done = append(done, r)
+			b.ReportMetric(r.Seconds, "s")
+			b.ReportMetric(float64(r.Sent), "sent")
+			b.ReportMetric(float64(r.Received), "received")
+			b.ReportMetric(float64(r.Expanded), "expanded")
+		})
 	}
-	return 64
 }
 
 func BenchmarkLinearDiscover(b *testing.B) {
@@ -387,91 +376,11 @@ func BenchmarkLinearDiscover(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				tb.NM.Workers = benchWorkers(mode)
-				tb.Hub.SetLatency(simRTT)
+				tb.NM.Workers = bench.Workers(mode)
+				tb.Hub.SetLatency(bench.Latency)
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					if err := tb.NM.DiscoverAll(); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
-}
-
-func BenchmarkLinearConfigure(b *testing.B) {
-	for _, cfg := range experiments.BenchApplyRows() {
-		benchmarkLinearConfigure(b, cfg.Scenario, cfg.Ns)
-	}
-}
-
-// BenchmarkStoreReconcile measures the incremental store's 1-dirty
-// reconcile latency with k resident intents on the diamond-lite
-// topology: submit one new intent, reconcile. The k=1 run is the floor;
-// k=10000 staying within the same order of magnitude is the store's
-// O(changed) contract (gated with real thresholds by `conman bench` and
-// the CI baseline; this benchmark is for local profiling).
-func BenchmarkStoreReconcile(b *testing.B) {
-	for _, k := range []int{1, 10000} {
-		b.Run(fmt.Sprintf("k=%d/1-dirty", k), func(b *testing.B) {
-			tb, err := experiments.BuildDiamondLite(k + b.N)
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer tb.Close()
-			for j := 1; j <= k; j++ {
-				if err := tb.NM.Submit(experiments.LiteIntent(j)); err != nil {
-					b.Fatal(err)
-				}
-			}
-			// First pass converges the store; second settles the VLAN
-			// pipe-bind fallback so measurement starts from a quiet state.
-			if _, err := tb.NM.Reconcile(); err != nil {
-				b.Fatal(err)
-			}
-			if _, err := tb.NM.Reconcile(); err != nil {
-				b.Fatal(err)
-			}
-			tb.Hub.SetLatency(simRTT)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := tb.NM.Submit(experiments.LiteIntent(k + 1 + i)); err != nil {
-					b.Fatal(err)
-				}
-				plan, err := tb.NM.Reconcile()
-				if err != nil {
-					b.Fatal(err)
-				}
-				if plan.Stats.FullRebuild || plan.Stats.Recompiled != 1 {
-					b.Fatalf("1-dirty pass recompiled %d intents (full=%v)",
-						plan.Stats.Recompiled, plan.Stats.FullRebuild)
-				}
-			}
-		})
-	}
-}
-
-func benchmarkLinearConfigure(b *testing.B, sc experiments.LinearScenario, ns []int) {
-	for _, n := range ns {
-		for _, mode := range []string{"sequential", "concurrent"} {
-			b.Run(fmt.Sprintf("%s/n=%d/%s", sc.Name, n, mode), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					b.StopTimer()
-					// Execution mutates device state, so each iteration
-					// configures a freshly built chain.
-					tb, err := sc.Build(n)
-					if err != nil {
-						b.Fatal(err)
-					}
-					tb.NM.Workers = benchWorkers(mode)
-					plan, err := sc.PlanLinear(tb, n)
-					if err != nil {
-						b.Fatal(err)
-					}
-					tb.Hub.SetLatency(simRTT)
-					b.StartTimer()
-					if err := tb.NM.Apply(plan); err != nil {
 						b.Fatal(err)
 					}
 				}

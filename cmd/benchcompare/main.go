@@ -1,9 +1,10 @@
 // Command benchcompare is the CI perf-regression gate: it diffs a fresh
 // BENCH_scale.json (produced by `conman bench`) against the committed
-// BENCH_baseline.json and exits non-zero when any FindPath or
-// LinearApply (configure) row regressed past the threshold — by default
-// more than 2x wall-clock, or more than 2x in the deterministic
-// `expanded` search-state metric.
+// BENCH_baseline.json and exits non-zero when any row regressed past
+// the threshold — by default more than 2x wall-clock, or more than 2x
+// in the deterministic `expanded` count. Both files hold bench.Result
+// records, and the rows are the ones defined once in the
+// internal/bench registry.
 //
 // Wall-clock comparison is skipped for rows whose baseline is below
 // -min-seconds (default 100ms): the long latency-dominated rows are
@@ -31,23 +32,9 @@ import (
 	"fmt"
 	"os"
 	"strings"
+
+	"conman/internal/bench"
 )
-
-// row mirrors the benchResult records `conman bench` emits.
-type row struct {
-	Benchmark string  `json:"benchmark"`
-	Scenario  string  `json:"scenario"`
-	N         int     `json:"n"`
-	Mode      string  `json:"mode"`
-	Seconds   float64 `json:"seconds"`
-	Sent      int     `json:"sent,omitempty"`
-	Received  int     `json:"received,omitempty"`
-	Expanded  int     `json:"expanded,omitempty"`
-}
-
-func (r row) key() string {
-	return fmt.Sprintf("%s/%s/n=%d/%s", r.Benchmark, r.Scenario, r.N, r.Mode)
-}
 
 // verdict classifies one baseline/current row pair.
 type verdict int
@@ -63,7 +50,7 @@ const (
 type delta struct {
 	key       string
 	v         verdict
-	base, cur row
+	base, cur bench.Result
 	// floored marks rows whose wall clock was under the -min-seconds
 	// floor (expanded-only comparison).
 	floored bool
@@ -72,15 +59,15 @@ type delta struct {
 
 // evaluate applies the regression gates to every row, baseline-driven,
 // preserving baseline order; current-only rows append at the end.
-func evaluate(baseline, current []row, maxRatio, minSeconds float64) []delta {
-	cur := make(map[string]row, len(current))
+func evaluate(baseline, current []bench.Result, maxRatio, minSeconds float64) []delta {
+	cur := make(map[string]bench.Result, len(current))
 	for _, r := range current {
-		cur[r.key()] = r
+		cur[r.Key.String()] = r
 	}
 	seen := make(map[string]bool, len(baseline))
 	var out []delta
 	for _, base := range baseline {
-		key := base.key()
+		key := base.Key.String()
 		seen[key] = true
 		got, ok := cur[key]
 		d := delta{key: key, base: base, cur: got, floored: base.Seconds < minSeconds}
@@ -102,8 +89,8 @@ func evaluate(baseline, current []row, maxRatio, minSeconds float64) []delta {
 		out = append(out, d)
 	}
 	for _, r := range current {
-		if !seen[r.key()] {
-			out = append(out, delta{key: r.key(), v: vNew, cur: r})
+		if !seen[r.Key.String()] {
+			out = append(out, delta{key: r.Key.String(), v: vNew, cur: r})
 		}
 	}
 	return out
@@ -130,12 +117,6 @@ func renderText(deltas []delta) (report, failures []string) {
 		}
 	}
 	return report, failures
-}
-
-// compare runs the gate end to end: evaluate then render the text
-// report.
-func compare(baseline, current []row, maxRatio, minSeconds float64) (report, failures []string) {
-	return renderText(evaluate(baseline, current, maxRatio, minSeconds))
 }
 
 // renderSummary formats deltas as a GitHub-flavoured markdown table.
@@ -183,12 +164,12 @@ func renderSummary(deltas []delta, maxRatio float64) string {
 	return b.String()
 }
 
-func load(path string) ([]row, error) {
+func load(path string) ([]bench.Result, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	var rows []row
+	var rows []bench.Result
 	if err := json.Unmarshal(data, &rows); err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}

@@ -6,14 +6,16 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"conman/internal/bench"
 )
 
-func baselineRows() []row {
-	return []row{
-		{Benchmark: "LinearApply", Scenario: "GRE", N: 64, Mode: "sequential", Seconds: 0.450},
-		{Benchmark: "LinearApply", Scenario: "GRE+IGP", N: 64, Mode: "concurrent", Seconds: 0.500},
-		{Benchmark: "FindPath", Scenario: "VLAN", N: 128, Mode: "best-first", Seconds: 0.007, Expanded: 1272},
-		{Benchmark: "FindPath", Scenario: "VLAN", N: 16, Mode: "best-first", Seconds: 0.0005, Expanded: 152},
+func baselineRows() []bench.Result {
+	return []bench.Result{
+		{Key: bench.Key{Benchmark: "LinearApply", Scenario: "GRE", N: 64, Mode: "sequential"}, Seconds: 0.450},
+		{Key: bench.Key{Benchmark: "LinearApply", Scenario: "GRE+IGP", N: 64, Mode: "concurrent"}, Seconds: 0.500},
+		{Key: bench.Key{Benchmark: "FindPath", Scenario: "VLAN", N: 128, Mode: "best-first"}, Seconds: 0.007, Expanded: 1272},
+		{Key: bench.Key{Benchmark: "FindPath", Scenario: "VLAN", N: 16, Mode: "best-first"}, Seconds: 0.0005, Expanded: 152},
 	}
 }
 
@@ -21,7 +23,7 @@ func baselineRows() []row {
 // results never fail the gate.
 func TestComparePassesOnIdenticalRun(t *testing.T) {
 	base := baselineRows()
-	report, failures := compare(base, base, 2.0, 0.005)
+	report, failures := renderText(evaluate(base, base, 2.0, 0.005))
 	if len(failures) != 0 {
 		t.Fatalf("identical run failed the gate:\n%s", strings.Join(failures, "\n"))
 	}
@@ -35,9 +37,9 @@ func TestComparePassesOnIdenticalRun(t *testing.T) {
 // row fails the gate.
 func TestCompareFailsOnInjectedWallClockRegression(t *testing.T) {
 	base := baselineRows()
-	cur := append([]row(nil), base...)
+	cur := append([]bench.Result(nil), base...)
 	cur[0].Seconds = base[0].Seconds * 2.5 // injected 2.5x regression
-	_, failures := compare(base, cur, 2.0, 0.005)
+	_, failures := renderText(evaluate(base, cur, 2.0, 0.005))
 	if len(failures) != 1 || !strings.Contains(failures[0], "LinearApply/GRE/n=64/sequential") {
 		t.Fatalf("injected wall-clock regression not caught: %v", failures)
 	}
@@ -48,10 +50,10 @@ func TestCompareFailsOnInjectedWallClockRegression(t *testing.T) {
 // when wall-clock looks fine.
 func TestCompareFailsOnInjectedExpandedRegression(t *testing.T) {
 	base := baselineRows()
-	cur := append([]row(nil), base...)
+	cur := append([]bench.Result(nil), base...)
 	cur[2].Expanded = base[2].Expanded * 3 // search regressed
 	cur[2].Seconds = base[2].Seconds       // but wall-clock hid it
-	_, failures := compare(base, cur, 2.0, 0.005)
+	_, failures := renderText(evaluate(base, cur, 2.0, 0.005))
 	if len(failures) != 1 || !strings.Contains(failures[0], "expanded") {
 		t.Fatalf("injected expanded regression not caught: %v", failures)
 	}
@@ -61,14 +63,14 @@ func TestCompareFailsOnInjectedExpandedRegression(t *testing.T) {
 // seconds (scheduler noise), but their expanded metric still gates.
 func TestCompareWallClockFloor(t *testing.T) {
 	base := baselineRows()
-	cur := append([]row(nil), base...)
+	cur := append([]bench.Result(nil), base...)
 	cur[3].Seconds = base[3].Seconds * 10 // noisy micro-row: ignored
-	_, failures := compare(base, cur, 2.0, 0.005)
+	_, failures := renderText(evaluate(base, cur, 2.0, 0.005))
 	if len(failures) != 0 {
 		t.Fatalf("sub-floor wall-clock noise failed the gate: %v", failures)
 	}
 	cur[3].Expanded = base[3].Expanded * 4 // real search regression: caught
-	_, failures = compare(base, cur, 2.0, 0.005)
+	_, failures = renderText(evaluate(base, cur, 2.0, 0.005))
 	if len(failures) != 1 {
 		t.Fatalf("sub-floor expanded regression not caught: %v", failures)
 	}
@@ -79,7 +81,7 @@ func TestCompareWallClockFloor(t *testing.T) {
 func TestCompareFailsOnMissingRow(t *testing.T) {
 	base := baselineRows()
 	cur := base[:len(base)-1]
-	_, failures := compare(base, cur, 2.0, 0.005)
+	_, failures := renderText(evaluate(base, cur, 2.0, 0.005))
 	if len(failures) != 1 || !strings.Contains(failures[0], "missing") {
 		t.Fatalf("missing row not caught: %v", failures)
 	}
@@ -89,9 +91,9 @@ func TestCompareFailsOnMissingRow(t *testing.T) {
 // with a hint to refresh the baseline.
 func TestCompareReportsNewRows(t *testing.T) {
 	base := baselineRows()
-	cur := append(append([]row(nil), base...),
-		row{Benchmark: "LinearApply", Scenario: "GRE+IGP", N: 128, Mode: "concurrent", Seconds: 1.0})
-	report, failures := compare(base, cur, 2.0, 0.005)
+	cur := append(append([]bench.Result(nil), base...),
+		bench.Result{Key: bench.Key{Benchmark: "LinearApply", Scenario: "GRE+IGP", N: 128, Mode: "concurrent"}, Seconds: 1.0})
+	report, failures := renderText(evaluate(base, cur, 2.0, 0.005))
 	if len(failures) != 0 {
 		t.Fatalf("new row failed the gate: %v", failures)
 	}
@@ -110,9 +112,9 @@ func TestCompareReportsNewRows(t *testing.T) {
 // markdown table row and flags regressions without hiding them.
 func TestRenderSummaryMarkdown(t *testing.T) {
 	base := baselineRows()
-	cur := append([]row(nil), base[:len(base)-1]...) // drop one row
-	cur[0].Seconds = base[0].Seconds * 3             // regress another
-	cur = append(cur, row{Benchmark: "Transport", Scenario: "lsa-burst", N: 512, Mode: "batched", Seconds: 0.06, Expanded: 8})
+	cur := append([]bench.Result(nil), base[:len(base)-1]...) // drop one row
+	cur[0].Seconds = base[0].Seconds * 3                      // regress another
+	cur = append(cur, bench.Result{Key: bench.Key{Benchmark: "Transport", Scenario: "lsa-burst", N: 512, Mode: "batched"}, Seconds: 0.06, Expanded: 8})
 	out := renderSummary(evaluate(base, cur, 2.0, 0.005), 2.0)
 	for _, want := range []string{
 		"### Benchmark delta vs baseline",

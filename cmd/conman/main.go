@@ -37,6 +37,7 @@ import (
 	"syscall"
 	"time"
 
+	"conman/internal/bench"
 	"conman/internal/experiments"
 	"conman/internal/nm"
 	"conman/internal/nm/datastore"
@@ -222,11 +223,10 @@ persistent store (offline, operates on -state-dir):
                               the network to the rewound set
 
 benchmarks:
-  bench [-out FILE]           run the linear-n scale suite, the
-                              StoreReconcile 1-dirty latency probe
-                              (k=1 vs k=10000 resident intents) and the
-                              daemon convergence row, and emit the
-                              results as JSON (for CI artifacts)
+  bench [-out FILE]           run every row of the bench registry
+                              (internal/bench), enforce its in-bench
+                              gates, and emit the results as JSON (for
+                              CI artifacts)
 
 paper artifacts:
   table3   GRE module abstraction (Table III)
@@ -983,404 +983,37 @@ func countItems(scripts []nm.DeviceScript) int {
 	return n
 }
 
-// benchResult is one JSON record of the scale benchmark.
-type benchResult struct {
-	Benchmark string  `json:"benchmark"`
-	Scenario  string  `json:"scenario"`
-	N         int     `json:"n"`
-	Mode      string  `json:"mode"`
-	Seconds   float64 `json:"seconds"`
-	Sent      int     `json:"sent,omitempty"`
-	Received  int     `json:"received,omitempty"`
-	// Expanded is the number of search states the path finder explored
-	// (FindPath benchmark rows only).
-	Expanded int `json:"expanded,omitempty"`
-}
-
-// runBench measures intent apply on linear chains in both execution
-// modes over a latency-emulating channel, and writes the results as a
-// JSON array (CI uploads it as BENCH_scale.json to track the perf
-// trajectory across PRs).
+// runBench runs every row of the bench registry, keeping the best of
+// each row's repetitions, and writes the results as a JSON array (CI
+// gates it against BENCH_baseline.json with benchcompare).
 func runBench(args []string) error {
 	fs := flag.NewFlagSet("bench", flag.ContinueOnError)
-	outFlag := fs.String("out", "", "write the JSON results to this file (default: stdout)")
+	out := fs.String("out", "", "write the JSON results to this file (default: stdout)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	out := *outFlag
-	const latency = 200 * time.Microsecond
-	var results []benchResult
-	// The plain GRE rows track the executor's scaling to n=128; the
-	// IGP-enabled rows additionally track the control modules' flooding
-	// cost. The row list is shared with BenchmarkLinearConfigure so the
-	// CI gate's coverage and the Go benchmark never diverge.
-	for _, row := range experiments.BenchApplyRows() {
-		sc := row.Scenario
-		for _, n := range row.Ns {
-			for _, mode := range []string{"sequential", "concurrent"} {
-				best := time.Duration(0)
-				var counters nm.Counters
-				for rep := 0; rep < 2; rep++ {
-					tb, err := sc.Build(n)
-					if err != nil {
-						return err
-					}
-					tb.NM.Workers = 64
-					if mode == "sequential" {
-						tb.NM.Workers = 1
-					}
-					plan, err := sc.PlanLinear(tb, n)
-					if err != nil {
-						return err
-					}
-					tb.NM.ResetCounters()
-					tb.Hub.SetLatency(latency)
-					start := time.Now()
-					if err := tb.NM.Apply(plan); err != nil {
-						return err
-					}
-					el := time.Since(start)
-					if best == 0 || el < best {
-						best = el
-					}
-					counters = tb.NM.Counters()
-				}
-				results = append(results, benchResult{
-					Benchmark: "LinearApply", Scenario: sc.Name, N: n, Mode: mode,
-					Seconds: best.Seconds(), Sent: counters.Sent(), Received: counters.Received(),
-				})
-				fmt.Fprintf(os.Stderr, "LinearApply/%s n=%d %s: %v (%d sent / %d received)\n",
-					sc.Name, n, mode, best, counters.Sent(), counters.Received())
-			}
-		}
-	}
-	// Path-finder cost: legacy enumerate-then-filter vs best-first on
-	// the L2 chains whose variant space is exponential, tracked across
-	// PRs via the expanded-states metric.
-	vlan, err := experiments.LinearScenarioByName("VLAN")
-	if err != nil {
-		return err
-	}
-	for _, n := range []int{16, 64, 128} {
-		g, base, err := vlan.FindPathSpec(n)
+	var results []bench.Result
+	for _, row := range bench.Rows() {
+		r, err := row.Best()
 		if err != nil {
 			return err
 		}
-		for _, mode := range []string{"exhaustive", "best-first"} {
-			spec := base
-			spec.Exhaustive = mode == "exhaustive"
-			best := time.Duration(0)
-			var stats nm.PruneStats
-			for rep := 0; rep < 2; rep++ {
-				start := time.Now()
-				p, s, err := g.FindBest(spec)
-				if err != nil {
-					return err
-				}
-				if p == nil {
-					return fmt.Errorf("bench: no %q path at n=%d (%s)", vlan.PathDesc, n, mode)
-				}
-				if el := time.Since(start); best == 0 || el < best {
-					best = el
-				}
-				stats = s
-			}
-			results = append(results, benchResult{
-				Benchmark: "FindPath", Scenario: vlan.Name, N: n, Mode: mode,
-				Seconds: best.Seconds(), Expanded: stats.Expanded,
-			})
-			fmt.Fprintf(os.Stderr, "FindPath/%s n=%d %s: %v (%d states expanded)\n",
-				vlan.Name, n, mode, best, stats.Expanded)
-		}
-	}
-	// Store reconcile latency: one dirty intent among k resident ones.
-	// The k=1 row is the floor (compile + two edge batches); the k=10000
-	// row must stay within 5x of it or the store has regressed to
-	// O(store) passes — the incremental engine's acceptance budget,
-	// enforced here and via the CI baseline.
-	{
-		const storeIters = 32
-		secs := make(map[int]float64)
-		for _, k := range []int{1, 10000} {
-			mean, expanded, err := benchStoreReconcile(k, storeIters, latency)
-			if err != nil {
-				return err
-			}
-			secs[k] = mean
-			results = append(results, benchResult{
-				Benchmark: "StoreReconcile", Scenario: "diamond-lite", N: k, Mode: "1-dirty",
-				Seconds: mean, Expanded: expanded,
-			})
-			fmt.Fprintf(os.Stderr, "StoreReconcile/diamond-lite n=%d 1-dirty: %v per reconcile (%d observes+recompiles over %d iterations)\n",
-				k, time.Duration(mean*float64(time.Second)), expanded, storeIters)
-		}
-		if ratio := secs[10000] / secs[1]; ratio > 5 {
-			return fmt.Errorf("StoreReconcile 1-dirty latency at k=10000 is %.1fx the k=1 floor (budget 5x) — reconcile is no longer O(changed)", ratio)
-		}
-	}
-	// Daemon convergence: wall clock from an injected wire cut to a
-	// re-converged store under the autonomous daemon — carrier loss,
-	// topology re-reports, debounce, reroute, verify-empty plan. This is
-	// the push-path healing latency the §II-E trigger plumbing exists to
-	// bound, gated across PRs like the other rows.
-	{
-		best, err := benchDaemonConverge(latency, 2)
-		if err != nil {
+		fmt.Fprintln(os.Stderr, r)
+		if err := row.Check(r, results); err != nil {
 			return err
 		}
-		results = append(results, benchResult{
-			Benchmark: "DaemonConverge", Scenario: "VLAN-shared", N: 2, Mode: "kill-wire",
-			Seconds: best.Seconds(),
-		})
-		fmt.Fprintf(os.Stderr, "DaemonConverge/VLAN-shared n=2 kill-wire: %v\n", best)
-	}
-	// Generated-topology rows (ROADMAP item 4): the fabric families of
-	// the chaos harness, measured where the line topologies cannot see —
-	// IGP cold-start flooding on diverse graphs, unguided path search on
-	// a random fabric, and intent compilation at generator scale.
-	if err := benchTopoRows(&results, latency); err != nil {
-		return err
-	}
-	// Transport rows (ROADMAP item 5): the UDP management plane's cost
-	// clean vs under seeded 5% loss, and the datagram economics of
-	// batching an LSA-flood burst — with an in-bench ≥4x floor on the
-	// batching win, mirroring the StoreReconcile ratio gate above.
-	if err := benchTransportRows(&results); err != nil {
-		return err
+		results = append(results, r)
 	}
 	data, err := json.MarshalIndent(results, "", "  ")
 	if err != nil {
 		return err
 	}
 	data = append(data, '\n')
-	if out == "" {
+	if *out == "" {
 		_, err = os.Stdout.Write(data)
 		return err
 	}
-	return os.WriteFile(out, data, 0644)
-}
-
-// benchTopoRows appends the generated-topology benchmark rows:
-//
-//   - IGPFlood: applying the first routed intent on a BuildTopoGREIGP
-//     fabric cold-starts IGP adjacencies on every router; each LSA
-//     batch is relayed through the NM, so the counters' relay figures
-//     are the flooding message count. One worker keeps them
-//     deterministic (Expanded = relays out, gated exactly; a ring
-//     floods O(n) LSAs over O(n) adjacencies, a Clos core refloods
-//     across its much denser neighbour sets).
-//   - FindPath/waxman: best-first search with no Prefer hint on a
-//     seeded random graph — the metric-driven selection of §III-C.1
-//     over an irregular variant space, tracked by states expanded.
-//   - TopoPlan: intent compilation (no apply) on generator-scale
-//     fabrics, the wall-clock row for the n∈{512,1024,4096} planning
-//     path the chaos suite proves correct.
-func benchTopoRows(results *[]benchResult, latency time.Duration) error {
-	for _, tc := range []struct {
-		scen  string
-		build func() (*topo.Wiring, error)
-	}{
-		{"ring-16", func() (*topo.Wiring, error) { return topo.Ring(16) }},
-		{"fattree-4", func() (*topo.Wiring, error) { return topo.FatTree(4) }},
-	} {
-		w, err := tc.build()
-		if err != nil {
-			return err
-		}
-		tb, pairs, err := experiments.BuildTopoGREIGP(w, 1)
-		if err != nil {
-			return err
-		}
-		tb.NM.Workers = 1
-		intent := nm.Intent{Name: "vpn-c1", Goal: pairs[0].Goal, Prefer: "GRE-IP tunnel"}
-		plan, err := tb.NM.Plan(intent)
-		if err != nil {
-			tb.Close()
-			return err
-		}
-		tb.NM.ResetCounters()
-		tb.Hub.SetLatency(latency)
-		start := time.Now()
-		if err := tb.NM.Apply(plan); err != nil {
-			tb.Close()
-			return err
-		}
-		el := time.Since(start)
-		c := tb.NM.Counters()
-		*results = append(*results, benchResult{
-			Benchmark: "IGPFlood", Scenario: tc.scen, N: len(w.Devices), Mode: "sequential",
-			Seconds: el.Seconds(), Sent: c.Sent(), Received: c.Received(), Expanded: c.RelayOut,
-		})
-		fmt.Fprintf(os.Stderr, "IGPFlood/%s n=%d sequential: %v (%d LSA relays, %d sent / %d received)\n",
-			tc.scen, len(w.Devices), el, c.RelayOut, c.Sent(), c.Received())
-		tb.Close()
-	}
-	{
-		w, err := topo.Waxman(48, 0.7, 0.25, 1)
-		if err != nil {
-			return err
-		}
-		tb, intents, err := experiments.BuildTopoVLANLite(w, 1)
-		if err != nil {
-			return err
-		}
-		goal := intents[0].Goal
-		g, err := nm.BuildGraph(tb.NM)
-		if err != nil {
-			tb.Close()
-			return err
-		}
-		spec := nm.FindSpec{
-			From: goal.From, To: goal.To, TrafficDomain: goal.TrafficDomain,
-			FromPipe: goal.FromPipe, ToPipe: goal.ToPipe,
-		}
-		best := time.Duration(0)
-		var stats nm.PruneStats
-		for rep := 0; rep < 2; rep++ {
-			start := time.Now()
-			p, s, err := g.FindBest(spec)
-			if err != nil {
-				tb.Close()
-				return err
-			}
-			if p == nil {
-				tb.Close()
-				return fmt.Errorf("bench: no unguided path on waxman-48")
-			}
-			if el := time.Since(start); best == 0 || el < best {
-				best = el
-			}
-			stats = s
-		}
-		*results = append(*results, benchResult{
-			Benchmark: "FindPath", Scenario: "waxman-48", N: 48, Mode: "no-prefer",
-			Seconds: best.Seconds(), Expanded: stats.Expanded,
-		})
-		fmt.Fprintf(os.Stderr, "FindPath/waxman-48 n=48 no-prefer: %v (%d states expanded)\n",
-			best, stats.Expanded)
-		tb.Close()
-	}
-	for _, tc := range []struct {
-		scen  string
-		build func() (*topo.Wiring, error)
-	}{
-		{"ring", func() (*topo.Wiring, error) { return topo.Ring(512) }},
-		{"torus", func() (*topo.Wiring, error) { return topo.Torus(32, 32) }},
-		{"torus", func() (*topo.Wiring, error) { return topo.Torus(64, 64) }},
-	} {
-		w, err := tc.build()
-		if err != nil {
-			return err
-		}
-		tb, intents, err := experiments.BuildTopoVLANLite(w, 1)
-		if err != nil {
-			return err
-		}
-		start := time.Now()
-		plan, err := tb.NM.Plan(intents[0])
-		if err != nil {
-			tb.Close()
-			return err
-		}
-		el := time.Since(start)
-		if plan.Empty() {
-			tb.Close()
-			return fmt.Errorf("bench: empty plan on %s n=%d", tc.scen, len(w.Devices))
-		}
-		*results = append(*results, benchResult{
-			Benchmark: "TopoPlan", Scenario: tc.scen, N: len(w.Devices), Mode: "plan",
-			Seconds: el.Seconds(),
-		})
-		fmt.Fprintf(os.Stderr, "TopoPlan/%s n=%d plan: %v\n", tc.scen, len(w.Devices), el)
-		tb.Close()
-	}
-	return nil
-}
-
-// benchStoreReconcile builds the diamond-lite topology with k resident
-// intents, converges the store once, then measures iters rounds of
-// "submit one new intent, reconcile" under the latency-emulating
-// channel. It returns the mean per-round wall clock and the total
-// observes+recompiles the incremental engine spent (ideally exactly
-// iters recompiles and zero observes — the cache write-through keeps
-// every round RPC-free beyond its two edge batches).
-func benchStoreReconcile(k, iters int, latency time.Duration) (float64, int, error) {
-	tb, err := experiments.BuildDiamondLite(k + iters)
-	if err != nil {
-		return 0, 0, err
-	}
-	defer tb.Close()
-	for j := 1; j <= k; j++ {
-		if err := tb.NM.Submit(experiments.LiteIntent(j)); err != nil {
-			return 0, 0, err
-		}
-	}
-	if _, err := tb.NM.Reconcile(); err != nil {
-		return 0, 0, err
-	}
-	// Settle any pending-bind fallback so measurement starts converged.
-	if _, err := tb.NM.Reconcile(); err != nil {
-		return 0, 0, err
-	}
-	tb.Hub.SetLatency(latency)
-	expanded := 0
-	start := time.Now()
-	for i := 0; i < iters; i++ {
-		if err := tb.NM.Submit(experiments.LiteIntent(k + 1 + i)); err != nil {
-			return 0, 0, err
-		}
-		plan, err := tb.NM.Reconcile()
-		if err != nil {
-			return 0, 0, err
-		}
-		expanded += plan.Stats.Observed + plan.Stats.Recompiled
-	}
-	return time.Since(start).Seconds() / float64(iters), expanded, nil
-}
-
-// benchDaemonConverge measures one kill-wire heal under the daemon on
-// the shared diamond and returns the best of reps runs: cut the active
-// arm after initial convergence, clock until the daemon reports a new
-// converged generation with nothing dirty.
-func benchDaemonConverge(latency time.Duration, reps int) (time.Duration, error) {
-	const wait = 30 * time.Second
-	best := time.Duration(0)
-	for rep := 0; rep < reps; rep++ {
-		el, err := func() (time.Duration, error) {
-			tb, pairs, err := experiments.BuildDiamondShared(2)
-			if err != nil {
-				return 0, err
-			}
-			defer tb.Close()
-			for _, p := range pairs {
-				if err := tb.NM.Submit(p.Intent("VLAN tunnel")); err != nil {
-					return 0, err
-				}
-			}
-			d, stop := tb.StartDaemon(nm.DaemonConfig{})
-			defer stop()
-			if err := d.WaitConverged(0, wait); err != nil {
-				return 0, err
-			}
-			tb.Hub.SetLatency(latency)
-			gen := d.ConvergeGen()
-			start := time.Now()
-			if err := tb.Net.SetMediumUp("A-B1", false); err != nil {
-				return 0, err
-			}
-			if err := d.WaitConverged(gen, wait); err != nil {
-				return 0, err
-			}
-			return time.Since(start), nil
-		}()
-		if err != nil {
-			return 0, err
-		}
-		if best == 0 || el < best {
-			best = el
-		}
-	}
-	return best, nil
+	return os.WriteFile(*out, data, 0644)
 }
 
 func header(s string) {

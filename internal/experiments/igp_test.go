@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"conman/internal/channel"
 	"conman/internal/core"
 	"conman/internal/nm"
 )
@@ -263,24 +264,12 @@ func TestGREIGPRerouteConverges(t *testing.T) {
 func TestGREIGPOverUDP(t *testing.T) {
 	const n = 8
 	sc := GREIGPScenario()
-	tb, err := sc.BuildOver(n, newUDPFactory(t))
+	tb, err := sc.BuildOver(n, channel.NewUDPNetwork().Endpoint)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer tb.Close()
-	if _, err := sc.ConfigureLinear(tb, n); err != nil {
-		t.Fatal(err)
-	}
-	waitStableCounters(t, tb, 10*time.Second)
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		err = tb.VerifyConnectivity(uint32(95000 + time.Now().UnixNano()%1000))
-		if err == nil || time.Now().After(deadline) {
-			break
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	if err != nil {
+	if err := sc.ConfigureVerified(tb, n, 10*time.Second, 10*time.Second); err != nil {
 		t.Fatalf("over UDP: %v", err)
 	}
 }

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"time"
 
 	"conman/internal/nm"
 )
@@ -64,27 +65,6 @@ func GREIGPScenario() LinearScenario {
 	}
 }
 
-// BenchApplyRow pairs a scenario with the chain lengths its LinearApply
-// benchmark rows cover.
-type BenchApplyRow struct {
-	Scenario LinearScenario
-	Ns       []int
-}
-
-// BenchApplyRows is the single source of truth for the scale-apply
-// benchmark coverage: `BenchmarkLinearConfigure`, `conman bench` (and
-// therefore the rows the CI benchcompare gate checks against the
-// committed BENCH_baseline.json) all iterate this list. The IGP-enabled
-// rows additionally pay the §II-F control modules' link-state flooding
-// during apply.
-func BenchApplyRows() []BenchApplyRow {
-	gre, _ := LinearScenarioByName("GRE")
-	return []BenchApplyRow{
-		{Scenario: gre, Ns: []int{16, 64, 128}},
-		{Scenario: GREIGPScenario(), Ns: []int{16, 64}},
-	}
-}
-
 // LinearScenarioByName fetches a scenario ("GRE", "MPLS", "VLAN", or the
 // extra "GRE+IGP" scale scenario).
 func LinearScenarioByName(name string) (LinearScenario, error) {
@@ -107,28 +87,6 @@ func (sc LinearScenario) Intent(n int) nm.Intent {
 		Goal:   LinearGoal(n, sc.Tag),
 		Prefer: sc.PathDesc,
 	}
-}
-
-// FindPathSpec builds the scenario's linear-n potential graph and the
-// preferred-flavour finder spec the FindPath benchmarks drive. The Go
-// benchmark (BenchmarkFindPath) and `conman bench` both use this, so
-// the BENCH_scale.json rows and the benchmark output measure the
-// identical search; callers toggle spec.Exhaustive to select the
-// engine.
-func (sc LinearScenario) FindPathSpec(n int) (*nm.Graph, nm.FindSpec, error) {
-	tb, err := sc.Build(n)
-	if err != nil {
-		return nil, nm.FindSpec{}, err
-	}
-	g, err := nm.BuildGraph(tb.NM)
-	if err != nil {
-		return nil, nm.FindSpec{}, err
-	}
-	goal := LinearGoal(n, sc.Tag)
-	return g, nm.FindSpec{
-		From: goal.From, To: goal.To, TrafficDomain: goal.TrafficDomain,
-		Prefer: sc.PathDesc,
-	}, nil
 }
 
 // PlanLinear computes the scenario's reconciliation plan on a built
@@ -157,4 +115,29 @@ func (sc LinearScenario) ConfigureLinear(tb *Testbed, n int) (*nm.Plan, error) {
 		return plan, fmt.Errorf("%s n=%d: %w", sc.Name, n, err)
 	}
 	return plan, nil
+}
+
+// ConfigureVerified configures the scenario on a testbed whose
+// management channel delivers asynchronously (UDP): after
+// ConfigureLinear it waits up to settle for the NM counters to quiesce,
+// then retries VerifyConnectivity every 20ms until the data plane
+// delivers or verify has elapsed, since late floods may still land.
+func (sc LinearScenario) ConfigureVerified(tb *Testbed, n int, settle, verify time.Duration) error {
+	if _, err := sc.ConfigureLinear(tb, n); err != nil {
+		return err
+	}
+	tb.WaitStableCounters(settle)
+	deadline := time.Now().Add(verify)
+	// Each attempt uses fresh tokens (VerifyPair sends token and
+	// token+1), so a late echo of an earlier attempt cannot pass it.
+	for token := uint32(96000); ; token += 2 {
+		err := tb.VerifyConnectivity(token)
+		if err == nil {
+			return nil
+		}
+		if time.Now().After(deadline) {
+			return fmt.Errorf("%s n=%d: data plane not converged: %w", sc.Name, n, err)
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
 }

@@ -6,6 +6,7 @@ package experiments
 
 import (
 	"net/netip"
+	"time"
 
 	"conman/internal/channel"
 	"conman/internal/core"
@@ -253,6 +254,24 @@ func (tb *Testbed) VerifyConnectivity(token uint32) error {
 		Index: 1, D: "D", E: "E",
 		SrcIP: ip("10.0.1.1"), DstIP: ip("10.0.2.1"),
 	}, token)
+}
+
+// WaitStableCounters polls the NM counters every 10ms until ten
+// consecutive reads are identical or timeout has passed, and returns
+// the last read. Asynchronous transports deliver module relays after
+// Apply returns; this is the point at which their counts are final.
+func (tb *Testbed) WaitStableCounters(timeout time.Duration) nm.Counters {
+	deadline := time.Now().Add(timeout)
+	last := tb.NM.Counters()
+	for stable := 0; stable < 10 && time.Now().Before(deadline); {
+		time.Sleep(10 * time.Millisecond)
+		if cur := tb.NM.Counters(); cur == last {
+			stable++
+		} else {
+			stable, last = 0, cur
+		}
+	}
+	return last
 }
 
 // BuildFig9 constructs the VLAN tunneling topology of Fig 9: three

@@ -29,9 +29,7 @@ func runLossyLinear(t *testing.T, n int) {
 	t.Helper()
 	fn := channel.NewFaultyNetwork(channel.Config{}, lossyFaults())
 	sc := GREIGPScenario()
-	tb, err := sc.BuildOver(n, func(name string) (channel.Endpoint, error) {
-		return fn.Endpoint(name)
-	})
+	tb, err := sc.BuildOver(n, fn.Endpoint)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,20 +39,8 @@ func runLossyLinear(t *testing.T, n int) {
 	tb.NM.RetryInterval = 100 * time.Millisecond
 	tb.NM.CallTimeout = 20 * time.Second
 
-	if _, err := sc.ConfigureLinear(tb, n); err != nil {
-		t.Fatal(err)
-	}
-	waitStableCounters(t, tb, 20*time.Second)
-	deadline := time.Now().Add(20 * time.Second)
-	for {
-		err = tb.VerifyConnectivity(uint32(97000 + time.Now().UnixNano()%1000))
-		if err == nil || time.Now().After(deadline) {
-			break
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	if err != nil {
-		t.Fatalf("lossy UDP n=%d: %v", n, err)
+	if err := sc.ConfigureVerified(tb, n, 20*time.Second, 20*time.Second); err != nil {
+		t.Fatalf("lossy UDP: %v", err)
 	}
 
 	s := fn.Stats()

@@ -217,7 +217,7 @@ type Kernel struct {
 	udp        map[uint16]UDPHandler
 	ethHandler map[packet.EtherType]EtherTypeHandler
 	modules    map[string]bool // `insmod`/`modprobe` flags
-	probes     []ProbeEvent
+	probes     probeLog
 	execLog    []string
 	// probeWaiters holds the in-flight Probe calls, keyed by token.
 	probeWaiters map[uint32]chan struct{}
@@ -229,6 +229,46 @@ type Kernel struct {
 
 // ProbeWait bounds how long Probe waits for the reply to its echo.
 const ProbeWait = 500 * time.Millisecond
+
+// ProbeLogSize is the capacity of a kernel's probe log: Probes,
+// ProbeEchoes and ProbeReplies report the newest ProbeLogSize events,
+// so sustained probing holds the log at a fixed size.
+const ProbeLogSize = 1024
+
+// probeLog is a fixed-capacity ring of the probe events delivered
+// locally. It grows up to ProbeLogSize, then overwrites the oldest.
+type probeLog struct {
+	buf  []ProbeEvent
+	next int // slot overwritten next once buf is full
+}
+
+func (l *probeLog) add(ev ProbeEvent) {
+	if len(l.buf) < ProbeLogSize {
+		l.buf = append(l.buf, ev)
+		return
+	}
+	l.buf[l.next] = ev
+	l.next = (l.next + 1) % ProbeLogSize
+}
+
+// tokens returns the tokens of the logged events of one kind, oldest
+// first.
+func (l *probeLog) tokens(op uint8) []uint32 {
+	var out []uint32
+	for _, part := range [2][]ProbeEvent{l.buf[l.next:], l.buf[:l.next]} {
+		for _, ev := range part {
+			if ev.Op == op {
+				out = append(out, ev.Token)
+			}
+		}
+	}
+	return out
+}
+
+// events returns a copy of the log, oldest first.
+func (l *probeLog) events() []ProbeEvent {
+	return append(append([]ProbeEvent(nil), l.buf[l.next:]...), l.buf[:l.next]...)
+}
 
 // maxEncapDepth bounds recursive encapsulation/decapsulation.
 const maxEncapDepth = 10
@@ -725,11 +765,11 @@ func (k *Kernel) RegisterEtherType(et packet.EtherType, h EtherTypeHandler) {
 	k.ethHandler[et] = h
 }
 
-// Probes returns the probe events delivered locally so far.
+// Probes returns the probe events in the probe log, oldest first.
 func (k *Kernel) Probes() []ProbeEvent {
 	k.mu.Lock()
 	defer k.mu.Unlock()
-	return append([]ProbeEvent(nil), k.probes...)
+	return k.probes.events()
 }
 
 // IfaceCounters returns rx/tx packet counts for an interface.
@@ -972,7 +1012,7 @@ func (k *Kernel) localDeliver(iif string, ip packet.IPv4, payload []byte, depth 
 		}
 		ev := ProbeEvent{Op: p.Op, Token: p.Token, Src: ip.Src, Dst: ip.Dst}
 		k.mu.Lock()
-		k.probes = append(k.probes, ev)
+		k.probes.add(ev)
 		if w := k.probeWaiters[p.Token]; w != nil && p.Op == packet.ProbeReply {
 			select {
 			case w <- struct{}{}:
@@ -1169,30 +1209,20 @@ func (k *Kernel) Probe(src, dst netip.Addr, token uint32) (bool, error) {
 	}
 }
 
-// ProbeReplies returns the tokens of probe replies delivered locally.
+// ProbeReplies returns the tokens of the probe replies in the probe
+// log, oldest first.
 func (k *Kernel) ProbeReplies() []uint32 {
 	k.mu.Lock()
 	defer k.mu.Unlock()
-	var out []uint32
-	for _, p := range k.probes {
-		if p.Op == packet.ProbeReply {
-			out = append(out, p.Token)
-		}
-	}
-	return out
+	return k.probes.tokens(packet.ProbeReply)
 }
 
-// ProbeEchoes returns the tokens of probe echoes delivered locally.
+// ProbeEchoes returns the tokens of the probe echoes in the probe log,
+// oldest first.
 func (k *Kernel) ProbeEchoes() []uint32 {
 	k.mu.Lock()
 	defer k.mu.Unlock()
-	var out []uint32
-	for _, p := range k.probes {
-		if p.Op == packet.ProbeEcho {
-			out = append(out, p.Token)
-		}
-	}
-	return out
+	return k.probes.tokens(packet.ProbeEcho)
 }
 
 // ---------------------------------------------------------------------------

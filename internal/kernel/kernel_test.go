@@ -725,6 +725,41 @@ func TestFiltersDropAndCount(t *testing.T) {
 	}
 }
 
+// TestProbeLogBounded pins the probe log's fixed capacity: after ten
+// times ProbeLogSize probes the log holds exactly ProbeLogSize events,
+// and the newest echo and reply are still reported.
+func TestProbeLogBounded(t *testing.T) {
+	r := newRig(t)
+	d := r.add("D", kernel.RoleRouter, "eth0")
+	a := r.add("A", kernel.RoleRouter, "eth0")
+	r.connect("DA", port("D", "eth0"), port("A", "eth0"))
+	if err := d.AddAddr("eth0", pfx("10.0.0.1/24")); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.AddAddr("eth0", pfx("10.0.0.2/24")); err != nil {
+		t.Fatal(err)
+	}
+	const sent = 10 * kernel.ProbeLogSize
+	for tok := uint32(1); tok <= sent; tok++ {
+		if err := d.SendProbe(ip("10.0.0.2"), tok); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r.net.Flush()
+	if got := len(a.Probes()); got != kernel.ProbeLogSize {
+		t.Fatalf("echo side logs %d events, want %d", got, kernel.ProbeLogSize)
+	}
+	echoes, replies := a.ProbeEchoes(), d.ProbeReplies()
+	if len(echoes) != kernel.ProbeLogSize || echoes[0] != sent-kernel.ProbeLogSize+1 || echoes[len(echoes)-1] != sent {
+		t.Fatalf("echoes hold %d tokens [%d..%d], want the newest %d ending at %d",
+			len(echoes), echoes[0], echoes[len(echoes)-1], kernel.ProbeLogSize, sent)
+	}
+	if len(replies) != kernel.ProbeLogSize || replies[len(replies)-1] != sent {
+		t.Fatalf("replies hold %d tokens ending at %d, want %d ending at %d",
+			len(replies), replies[len(replies)-1], kernel.ProbeLogSize, sent)
+	}
+}
+
 func TestUDPFilterByPort(t *testing.T) {
 	r := newRig(t)
 	d := r.add("D", kernel.RoleRouter, "eth0")
