@@ -230,7 +230,6 @@ func SelectPath(paths []*Path) *Path { return nm.SelectPath(paths) }
 // FindBest runs the goal-directed best-first path search: the single
 // best path under the paper's selection metric (or the best of the
 // spec's preferred flavour) without materialising the variant space.
-// spec.Exhaustive reroutes through the legacy enumerator for A/B runs.
 func FindBest(g *Graph, spec FindSpec) (*Path, PruneStats, error) { return g.FindBest(spec) }
 
 // PreferRecognized reports whether a preference string belongs to a

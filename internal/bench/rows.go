@@ -31,8 +31,8 @@ func Rows() []Row {
 		}
 	}
 
-	// FindPath: legacy enumerate-then-filter vs best-first search on the
-	// L2 chains whose variant space is exponential.
+	// FindPath: the enumerator plus nm.PickPath vs the best-first search
+	// on the L2 chains whose variant space is exponential.
 	for _, n := range []int{16, 64, 128} {
 		for _, mode := range []string{"exhaustive", "best-first"} {
 			rows = append(rows, Row{Key: Key{"FindPath", "VLAN", n, mode}, Reps: 2, Measure: findPathLinear})
@@ -172,12 +172,21 @@ func findPath(tb *experiments.Testbed, goal nm.Goal, prefer string, exhaustive b
 	if err != nil {
 		return Result{}, err
 	}
-	start := time.Now()
-	p, stats, err := g.FindBest(nm.FindSpec{
+	spec := nm.FindSpec{
 		From: goal.From, To: goal.To, TrafficDomain: goal.TrafficDomain,
 		FromPipe: goal.FromPipe, ToPipe: goal.ToPipe,
-		Prefer: prefer, Exhaustive: exhaustive,
-	})
+		Prefer: prefer,
+	}
+	start := time.Now()
+	var p *nm.Path
+	var stats nm.PruneStats
+	if exhaustive {
+		var paths []*nm.Path
+		paths, stats, err = g.FindPaths(spec)
+		p = nm.PickPath(paths, prefer)
+	} else {
+		p, stats, err = g.FindBest(spec)
+	}
 	if err != nil {
 		return Result{}, err
 	}

@@ -40,6 +40,7 @@ type MA struct {
 	pipeSeq  int
 	ruleSeq  int
 	pending  []pendingRule
+	kicks    uint64 // Kick calls so far; see retryPending
 	failed   []string
 	reqSeq   uint64
 	waiters  map[uint64]chan msg.Envelope
@@ -292,11 +293,26 @@ func (a *MA) FieldsChanged(module core.ModuleRef, component string, fields map[s
 }
 
 // Kick implements Services: retry pending switch rules.
-func (a *MA) Kick() { a.retryPending() }
+func (a *MA) Kick() {
+	a.mu.Lock()
+	a.kicks++
+	a.mu.Unlock()
+	a.retryPending()
+}
 
+// retryPending runs passes over the pending rules while they make
+// progress. A pass holds the rules it retries, so a Kick landing during
+// it finds nothing to retry, and the state change behind that Kick may
+// postdate the pass's attempt at a rule. Such a Kick therefore earns one
+// more pass even without progress. A second pass in a row without
+// progress ends the loop even if kicked: an install that returns
+// ErrPending may itself kick, and rerunning on such kicks would never
+// end.
 func (a *MA) retryPending() {
+	rerun := false
 	for {
 		a.mu.Lock()
+		seen := a.kicks
 		pend := a.pending
 		a.pending = nil
 		a.mu.Unlock()
@@ -321,8 +337,14 @@ func (a *MA) retryPending() {
 		}
 		a.mu.Lock()
 		a.pending = append(still, a.pending...)
+		kicked := a.kicks != seen
 		a.mu.Unlock()
-		if !progressed {
+		switch {
+		case progressed:
+			rerun = false
+		case kicked && !rerun:
+			rerun = true
+		default:
 			return
 		}
 	}
@@ -442,7 +464,7 @@ func (a *MA) handle(env msg.Envelope) {
 				resp.Errors[i] = err.Error()
 			}
 			resp.Results[i] = res
-			a.retryPending()
+			a.Kick()
 		}
 		a.reply(env, msg.TypeCommandBatchResp, resp)
 
@@ -457,7 +479,7 @@ func (a *MA) handle(env msg.Envelope) {
 			a.replyErr(env, "%v", err)
 			return
 		}
-		a.retryPending()
+		a.Kick()
 		a.reply(env, msg.TypeCreatePipeResp, msg.CreatePipeResp{Pipe: id})
 
 	case msg.TypeCreateSwitchReq:
@@ -471,7 +493,7 @@ func (a *MA) handle(env msg.Envelope) {
 			a.replyErr(env, "%v", err)
 			return
 		}
-		a.retryPending()
+		a.Kick()
 		a.reply(env, msg.TypeCreateSwitchResp, msg.CreateSwitchResp{RuleID: id})
 
 	case msg.TypeCreateFilterReq:
@@ -509,7 +531,7 @@ func (a *MA) handle(env msg.Envelope) {
 			return
 		}
 		_ = m.HandleConvey(body.FromModule, body.Kind, body.Body)
-		a.retryPending()
+		a.Kick()
 
 	case msg.TypeListFieldsReq:
 		var body msg.ListFieldsReq
@@ -720,6 +742,9 @@ func (a *MA) createSwitch(body msg.CreateSwitchReq) (string, bool, error) {
 	}
 	a.mu.Unlock()
 
+	// A Kick landing between this attempt and the append finds no rule
+	// to retry; every caller kicks after createSwitch returns, so the
+	// rule still gets an attempt after that Kick.
 	err := m.InstallSwitchRule(inst)
 	if err == ErrPending {
 		a.mu.Lock()

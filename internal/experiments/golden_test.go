@@ -39,6 +39,14 @@ func TestRunnersMatchPreRefactorGoldens(t *testing.T) {
 	}
 	check("fig9.golden", f9.Render())
 
+	// The Fig 4 enumeration pins FindPaths: the nine paths in order and
+	// every prune counter the render prints.
+	p9, err := Paths9()
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("paths9.golden", p9.Render())
+
 	_, t6, err := Table6([]int{3, 4, 5, 6, 7, 8})
 	if err != nil {
 		t.Fatal(err)

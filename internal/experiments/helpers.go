@@ -10,16 +10,6 @@ func nmSpec(goal nm.Goal) nm.FindSpec {
 	return nm.FindSpec{From: goal.From, To: goal.To, TrafficDomain: goal.TrafficDomain}
 }
 
-// pathWith selects the first path with the given description.
-func pathWith(paths []*nm.Path, desc string) *nm.Path {
-	for _, p := range paths {
-		if p.Describe() == desc {
-			return p
-		}
-	}
-	return nil
-}
-
 // VPNIntent wraps a goal as a named intent; prefer pins a path flavour
 // by description ("MPLS", "GRE-IP tunnel", "VLAN tunnel") or "" for the
 // paper's automatic selector.

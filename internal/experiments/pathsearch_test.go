@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"conman/internal/nm"
+	"conman/internal/topo"
 )
 
 // pathSig renders a path for byte-exact comparison: module sequence
@@ -27,8 +28,9 @@ func pathSig(p *nm.Path) string {
 	return p.Modules() + " | " + strings.Join(modes, "")
 }
 
-// findBoth runs the same spec through the best-first engine and the
-// exhaustive enumerator (uncapped, so small scenarios enumerate fully).
+// findBoth runs the same spec through the best-first driver and the
+// enumerator (uncapped, so small scenarios enumerate fully), picking
+// from the enumeration with nm.PickPath.
 func findBoth(t *testing.T, g *nm.Graph, goal nm.Goal, prefer string) (best, exhaustive *nm.Path) {
 	t.Helper()
 	spec := nm.FindSpec{
@@ -40,19 +42,18 @@ func findBoth(t *testing.T, g *nm.Graph, goal nm.Goal, prefer string) (best, exh
 	if err != nil {
 		t.Fatalf("best-first (%q): %v", prefer, err)
 	}
-	spec.Exhaustive = true
 	spec.MaxPaths = 200000
-	exhaustive, _, err = g.FindBest(spec)
+	paths, _, err := g.FindPaths(spec)
 	if err != nil {
 		t.Fatalf("exhaustive (%q): %v", prefer, err)
 	}
-	return best, exhaustive
+	return best, nm.PickPath(paths, prefer)
 }
 
 // TestBestFirstMatchesExhaustive is the equivalence property over every
-// built-in scenario: for the automatic selector and for every path
-// flavour the enumerator can see, best-first and exhaustive must pick
-// the identical path.
+// built-in scenario and two rings: for the automatic selector and for
+// every path flavour the enumerator can see, best-first and exhaustive
+// must pick the identical path.
 func TestBestFirstMatchesExhaustive(t *testing.T) {
 	type scenario struct {
 		name  string
@@ -93,6 +94,10 @@ func TestBestFirstMatchesExhaustive(t *testing.T) {
 			}
 			return tb, pairs[1].Goal, nil
 		}},
+		// Rings have equal-scored arms that reconverge, the dominance
+		// key's blind spot the completeness net covers.
+		{"ring-6", func() (*Testbed, nm.Goal, error) { return ringLite(6) }},
+		{"ring-8", func() (*Testbed, nm.Goal, error) { return ringLite(8) }},
 	}
 	for _, sc := range scenarios {
 		t.Run(sc.name, func(t *testing.T) {
@@ -135,6 +140,19 @@ func TestBestFirstMatchesExhaustive(t *testing.T) {
 			}
 		})
 	}
+}
+
+// ringLite builds a one-pair VLAN-lite testbed on an n-switch ring.
+func ringLite(n int) (*Testbed, nm.Goal, error) {
+	w, err := topo.Ring(n)
+	if err != nil {
+		return nil, nm.Goal{}, err
+	}
+	tb, intents, err := BuildTopoVLANLite(w, 1)
+	if err != nil {
+		return nil, nm.Goal{}, err
+	}
+	return tb, intents[0].Goal, nil
 }
 
 // TestBestFirstDeterministicLongChain is the long-chain determinism

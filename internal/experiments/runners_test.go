@@ -6,6 +6,7 @@ import (
 
 	"conman/internal/core"
 	"conman/internal/legacy"
+	"conman/internal/nm"
 )
 
 func TestTable3GREAbstraction(t *testing.T) {
@@ -218,7 +219,7 @@ func TestTable6DataPlaneAtPaperScale(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", sc.name, err)
 		}
-		var chosen = pathWith(paths, sc.desc)
+		chosen := nm.PickPath(paths, sc.desc)
 		if chosen == nil {
 			t.Fatalf("%s: no %q path", sc.name, sc.desc)
 		}

@@ -524,12 +524,18 @@ func (m *IP) installClassifiedEgress(r *device.SwitchRuleInstance, from, to *dev
 	k := m.Svc.Kernel()
 
 	// Record the delivery next hop for co-located egress modules (MPLS
-	// pops straight to the customer gateway).
+	// pops straight to the customer gateway). A retried attempt finds it
+	// already published and reports no change: a pending rule that kicked
+	// on every attempt would make each of the MA's retry passes look
+	// kicked.
 	m.mu.Lock()
+	changed := m.delivery["via"] != gw.String() || m.delivery["dev"] != dev
 	m.delivery["via"] = gw.String()
 	m.delivery["dev"] = dev
 	m.mu.Unlock()
-	m.Svc.FieldsChanged(m.Ref(), "delivery", map[string]string{"via": gw.String(), "dev": dev})
+	if changed {
+		m.Svc.FieldsChanged(m.Ref(), "delivery", map[string]string{"via": gw.String(), "dev": dev})
+	}
 	undoDelivery := func() {
 		m.mu.Lock()
 		delete(m.delivery, "via")

@@ -1,17 +1,19 @@
 package nm
 
-// Goal-directed best-first path search (§III-C.1: the NM "determines
-// the sequence of modules" for a goal). The exhaustive finder in
-// pathfinder.go materialises every protocol-sane variant and filters
-// afterwards; on long L2 chains that space is exponential and the
-// DefaultMaxPaths cap truncates it, making selection over the result
-// unreliable. FindBest instead keeps a priority queue of partial paths
-// ordered by the paper's selection metric — pipes instantiated, then
-// forwarding speed, then hop count — and a dominance table keyed on
-// (module, entry, open peer-group stack, flavour) so only promising
-// prefixes expand. The best path pops first, without the variant space
-// ever being built; the number of expanded states is linear in path
-// length on the chains where enumeration explodes.
+// The path-search core (§III-C.1: the NM "determines the sequence of
+// modules" for a goal). One set of hop rules — the search methods below:
+// the depth and cycle check, the header effects with the Fig 6 pruning
+// rules, the clean-stack acceptance test and the peer-group replay —
+// serves two drivers. FindPaths (pathfinder.go) walks them depth-first
+// and materialises every protocol-sane variant; on long L2 chains that
+// space is exponential and the DefaultMaxPaths cap truncates it. FindBest
+// keeps a priority queue of partial paths ordered by the paper's
+// selection metric — pipes instantiated, then forwarding speed, then hop
+// count — and a dominance table keyed on (module, entry, open peer-group
+// stack, flavour) so only promising prefixes expand. The best path pops
+// first, without the variant space ever being built; the number of
+// expanded states is linear in path length on the chains where
+// enumeration explodes.
 
 import (
 	"container/heap"
@@ -26,17 +28,20 @@ import (
 // every real topology; hitting the valve is reported as an error.
 const bfMaxExpand = 1 << 20
 
-// DefaultMaxStack is the open-header bound applied when
-// FindSpec.MaxStack is zero: comfortably above the paper's deepest
-// stack (GRE-over-MPLS opens five) while keeping the best-first state
-// space linear in chain length.
+// DefaultMaxStack bounds how many protocol headers a best-first partial
+// path may hold open: comfortably above the paper's deepest stack
+// (GRE-over-MPLS opens five). An L2 chain admits unbounded re-tagging
+// (push a fresh VLAN header at every switch); those never-selectable
+// deep variants are what would make the best-first state space
+// quadratic instead of linear. The enumerator is left unbounded for
+// parity with the paper's Fig 6 pruning rules.
 const DefaultMaxStack = 8
 
 // bfStack is one open protocol header on a partial path's stack, as an
 // immutable linked list shared between the partial paths that diverge
-// above it (top points down). Nodes are immutable, so the rendered
-// dominance-key signature is computed once at construction (pushes are
-// frequent; signature reads happen on every frontier insertion).
+// above it (top points down). Nodes are immutable, so the dominance-key
+// signature is rendered once, on the first best-first frontier
+// insertion that reads it; the enumerator never renders it.
 type bfStack struct {
 	below     *bfStack
 	protocol  core.ModuleName
@@ -46,24 +51,12 @@ type bfStack struct {
 	cachedSig string // this header's rendering + everything below
 }
 
-// pushStack opens a header above s, caching the combined signature.
+// pushStack opens a header above s.
 func pushStack(s *bfStack, protocol core.ModuleName, domain string, external bool) *bfStack {
 	n := &bfStack{below: s, protocol: protocol, domain: domain, external: external, depth: 1}
 	if s != nil {
 		n.depth = s.depth + 1
 	}
-	var b strings.Builder
-	// %q quoting keeps the signature injective for arbitrary operator
-	// domain strings.
-	fmt.Fprintf(&b, "%s/%q", protocol, domain)
-	if external {
-		b.WriteByte('!')
-	}
-	b.WriteByte(';')
-	if s != nil {
-		b.WriteString(s.cachedSig)
-	}
-	n.cachedSig = b.String()
 	return n
 }
 
@@ -71,6 +64,18 @@ func pushStack(s *bfStack, protocol core.ModuleName, domain string, external boo
 func (s *bfStack) sig() string {
 	if s == nil {
 		return ""
+	}
+	if s.cachedSig == "" {
+		var b strings.Builder
+		// %q quoting keeps the signature injective for arbitrary operator
+		// domain strings.
+		fmt.Fprintf(&b, "%s/%q", s.protocol, s.domain)
+		if s.external {
+			b.WriteByte('!')
+		}
+		b.WriteByte(';')
+		b.WriteString(s.below.sig())
+		s.cachedSig = b.String()
 	}
 	return s.cachedSig
 }
@@ -110,11 +115,10 @@ func (f bfFlavor) sig() string {
 	return b.String()
 }
 
-// bfNode is one hop of a partial path on the best-first frontier. Hops
-// form a parent-linked chain; a completed path is materialised by
-// replaying the chain through the same peer-group bookkeeping the
-// exhaustive enumerator maintains, so the resulting Path is
-// structurally identical to an enumerated one.
+// bfNode is one hop of a partial path, in either driver. Hops form a
+// parent-linked chain; a completed path is materialised by replaying
+// the chain through the peer-group bookkeeping, so both drivers build
+// structurally identical Paths.
 type bfNode struct {
 	parent *bfNode
 	node   *Node
@@ -138,7 +142,8 @@ type bfNode struct {
 	devVLAN, devIPv4, devMPLS bool
 
 	// mods/modes mirror Path.Modules() / modeString incrementally; they
-	// are the deterministic tie-breaks matching the enumerator's sort.
+	// are the deterministic tie-breaks matching the enumerator's sort,
+	// built by the best-first push only.
 	mods, modes string
 	seq         int  // insertion order, the final tie-break
 	dropped     bool // superseded on its dominance frontier; skip on pop
@@ -200,72 +205,66 @@ func (h *bfHeap) Pop() any {
 	return x
 }
 
-type bfFinder struct {
+// search holds what both drivers share: the spec, the derived bounds
+// and the prune counters. Its methods are the hop rules.
+type search struct {
 	g        *Graph
 	spec     FindSpec
 	stats    PruneStats
-	queue    bfHeap
-	seen     map[string][]*bfNode
-	seq      int
-	max      int // accepted-pop safety valve
+	maxPaths int // spec.MaxPaths, or DefaultMaxPaths when zero
 	maxDepth int
-	maxStack int
-	initial  *bfStack
+	maxStack int // open-header bound; 0 = unbounded
+	// initial is the header stack the customer frame arrives with: an
+	// Ethernet header (pushed by the customer's equipment) around an IP
+	// packet in the customer's address domain.
+	initial *bfStack
+}
+
+// newSearch derives the shared search state. The depth bound is twice
+// the node count, the upper limit the per-module visit rule already
+// implies, so large linear topologies search without an artificial
+// ceiling.
+func (g *Graph) newSearch(spec FindSpec, maxStack int) search {
+	maxPaths := spec.MaxPaths
+	if maxPaths == 0 {
+		maxPaths = DefaultMaxPaths
+	}
+	return search{
+		g:        g,
+		spec:     spec,
+		maxPaths: maxPaths,
+		maxDepth: 2 * len(g.nodes),
+		maxStack: maxStack,
+		initial: pushStack(
+			pushStack(nil, core.NameIPv4, spec.TrafficDomain, true),
+			core.NameETH, "", true),
+	}
+}
+
+type bfFinder struct {
+	search
+	queue bfHeap
+	seen  map[string][]*bfNode
+	seq   int
 }
 
 // FindBest returns the single best path for the spec: the preferred
 // flavour's best when spec.Prefer is set, the paper's selection metric
 // otherwise (fewest pipes instantiated, fast forwarding on ties, then
-// hop count). By default it runs the goal-directed best-first search
-// and never materialises the variant space; spec.Exhaustive reroutes
-// through the legacy enumerate-then-filter engine for A/B comparison.
-// A nil path with a nil error means no protocol-sane path (or none of
-// the preferred flavour) exists.
+// hop count). It runs the goal-directed best-first search and never
+// materialises the variant space. A nil path with a nil error means no
+// protocol-sane path (or none of the preferred flavour) exists.
 func (g *Graph) FindBest(spec FindSpec) (*Path, PruneStats, error) {
-	if spec.Exhaustive {
-		paths, stats, err := g.FindPaths(spec)
-		stats.PreferUnknown = spec.Prefer != "" && !PreferRecognized(spec.Prefer)
-		if err != nil {
-			return nil, stats, err
-		}
-		if spec.Prefer != "" {
-			for _, p := range paths {
-				if p.Describe() == spec.Prefer {
-					return p, stats, nil
-				}
-			}
-			return nil, stats, nil
-		}
-		return SelectPath(paths), stats, nil
-	}
+	return g.findBest(spec, DefaultMaxStack)
+}
 
+// findBest is FindBest with an explicit open-header bound.
+func (g *Graph) findBest(spec FindSpec, maxStack int) (*Path, PruneStats, error) {
 	from, entryPipe, err := g.resolveEndpoints(spec)
 	if err != nil {
 		return nil, PruneStats{}, err
 	}
-	f := &bfFinder{
-		g:        g,
-		spec:     spec,
-		seen:     make(map[string][]*bfNode),
-		max:      spec.MaxPaths,
-		maxDepth: spec.MaxDepth,
-		maxStack: spec.MaxStack,
-		// The customer frame arrives with an Ethernet header around an
-		// IP packet in the customer's address domain (same premise as
-		// the enumerator).
-		initial: pushStack(
-			pushStack(nil, core.NameIPv4, spec.TrafficDomain, true),
-			core.NameETH, "", true),
-	}
-	if f.max == 0 {
-		f.max = DefaultMaxPaths
-	}
-	if f.maxDepth == 0 {
-		f.maxDepth = 2 * len(g.nodes)
-	}
-	if f.maxStack == 0 {
-		f.maxStack = DefaultMaxStack
-	}
+	f := &bfFinder{search: g.newSearch(spec, maxStack), seen: make(map[string][]*bfNode)}
 	f.stats.PreferUnknown = spec.Prefer != "" && !PreferRecognized(spec.Prefer)
 	heap.Init(&f.queue)
 	f.enter(nil, from, core.EndPhy, nil, entryPipe, "")
@@ -289,12 +288,12 @@ func (g *Graph) FindBest(spec FindSpec) (*Path, PruneStats, error) {
 			continue
 		}
 		if b.accepted {
-			p := f.materialize(b)
+			p := f.materialize(b, b.finalPhys)
 			if f.spec.Prefer == "" || p.Describe() == f.spec.Prefer {
 				if held == nil || bfLess(b, held) {
 					held, heldPath = b, p
 				}
-			} else if acceptedPops++; acceptedPops >= f.max {
+			} else if acceptedPops++; acceptedPops >= f.maxPaths {
 				return heldPath, f.stats, nil
 			}
 			continue
@@ -313,8 +312,8 @@ func (g *Graph) FindBest(spec FindSpec) (*Path, PruneStats, error) {
 	// per-module visit limit while the pruned one would have completed.
 	// No built-in scenario triggers this, but FindBest is the default
 	// compile engine for arbitrary topologies — so an empty result that
-	// was not caused by an explicit valve (MaxStack prune, accepted-pop
-	// cap) is re-checked against the exhaustive enumerator before "no
+	// was not caused by an explicit valve (DefaultMaxStack prune,
+	// accepted-pop cap) is re-checked against the enumerator before "no
 	// path" is reported. The cost is paid only on the no-path error
 	// path (including a Prefer flavour that genuinely does not exist),
 	// bounded by the enumerator's own MaxPaths cap. Known residual of
@@ -322,78 +321,71 @@ func (g *Graph) FindBest(spec FindSpec) (*Path, PruneStats, error) {
 	// suffix instead of not at all, the returned path can be
 	// metric-suboptimal — accepted as the price of a visited-set-free
 	// dominance key (tracked in ROADMAP's finder follow-ups).
-	if f.stats.StackCap == 0 && acceptedPops < f.max {
-		exh := spec
-		exh.Exhaustive = true
-		p, estats, err := g.FindBest(exh)
+	if f.stats.StackCap == 0 && acceptedPops < f.maxPaths {
+		paths, estats, err := g.FindPaths(spec)
 		f.stats.Expanded += estats.Expanded
-		return p, f.stats, err
+		return PickPath(paths, spec.Prefer), f.stats, err
 	}
 	return nil, f.stats, nil
 }
 
+// coLocated returns the modules b's up or down exit leads into on its
+// device, and the end they are entered at.
+func (s *search) coLocated(b *bfNode) ([]*Node, core.PipeEnd) {
+	next, end := s.g.Above(b.node), core.EndDown
+	if b.mode.To == core.EndDown {
+		next, end = s.g.Below(b.node), core.EndUp
+	}
+	if len(next) == 0 {
+		s.stats.DeadEnd++
+	}
+	return next, end
+}
+
 // expand pushes every admissible successor of a popped partial path.
 func (f *bfFinder) expand(b *bfNode) {
-	switch b.mode.To {
-	case core.EndUp:
-		ups := f.g.Above(b.node)
-		if len(ups) == 0 {
-			f.stats.DeadEnd++
+	if b.mode.To != core.EndPhy {
+		next, end := f.coLocated(b)
+		for _, n := range next {
+			f.enter(b, n, end, b.node, "", "")
 		}
-		for _, up := range ups {
-			f.enter(b, up, core.EndDown, b.node, "", "")
-		}
-	case core.EndDown:
-		downs := f.g.Below(b.node)
-		if len(downs) == 0 {
-			f.stats.DeadEnd++
-		}
-		for _, down := range downs {
-			f.enter(b, down, core.EndUp, b.node, "", "")
-		}
-	case core.EndPhy:
-		// External exits only ever complete the path at the goal module
-		// (maybeAccept rejects everything else), so skip them entirely on
-		// transit nodes and, when the spec pins the exit port, probe that
-		// one attachment instead of scanning the edge switch's thousands
-		// of customer ports.
-		if b.node.Ref == f.spec.To {
-			if f.spec.ToPipe != "" {
-				if pa, ok := f.g.PhysAt(b.node, f.spec.ToPipe); ok && pa.External && pa.Pipe != b.entryPhys {
+		return
+	}
+	// External exits only ever complete the path at the goal module
+	// (accepts rejects everything else), so skip them entirely on
+	// transit nodes and, when the spec pins the exit port, probe that
+	// one attachment instead of scanning the edge switch's thousands of
+	// customer ports.
+	if b.node.Ref == f.spec.To {
+		if f.spec.ToPipe != "" {
+			if pa, ok := f.g.PhysAt(b.node, f.spec.ToPipe); ok && pa.External && pa.Pipe != b.entryPhys {
+				f.maybeAccept(b, pa.Pipe)
+			}
+		} else {
+			for _, pa := range f.g.Externals(b.node) {
+				if pa.Pipe != b.entryPhys {
 					f.maybeAccept(b, pa.Pipe)
 				}
-			} else {
-				for _, pa := range f.g.Externals(b.node) {
-					if pa.Pipe != b.entryPhys {
-						f.maybeAccept(b, pa.Pipe)
-					}
-				}
 			}
 		}
-		for _, pa := range f.g.Wires(b.node) {
-			if pa.Pipe != b.entryPhys { // never exit the pipe we entered on
-				f.enter(b, pa.Peer, core.EndPhy, nil, pa.PeerPipe, pa.Pipe)
-			}
+	}
+	for _, pa := range f.g.Wires(b.node) {
+		if pa.Pipe != b.entryPhys { // never exit the pipe we entered on
+			f.enter(b, pa.Peer, core.EndPhy, nil, pa.PeerPipe, pa.Pipe)
 		}
 	}
 }
 
 // enter tries every switching mode of node reachable from the given
-// entry end, pushing one child hop per admissible mode. The cycle rule
-// is the enumerator's: each module at most once per path, twice for
-// [phy => down] L2 ETH modules (Fig 9b traverses module a twice).
+// entry end, pushing one child hop per admissible mode.
 func (f *bfFinder) enter(parent *bfNode, node *Node, entry core.PipeEnd, entryVia *Node, entryPhys, parentExit core.PipeID) {
-	if parent != nil && parent.depth >= f.maxDepth {
-		return
-	}
-	count := 0
+	visits := 0
 	for b := parent; b != nil; b = b.parent {
 		if b.node == node {
-			count++
+			visits++
 		}
 	}
-	if count >= visitLimit(node) {
-		f.stats.Visited++
+	if !f.admits(parent, node, visits) {
 		return
 	}
 	for _, mode := range node.Abs.Switch.Modes {
@@ -406,11 +398,26 @@ func (f *bfFinder) enter(parent *bfNode, node *Node, entry core.PipeEnd, entryVi
 	}
 }
 
+// admits applies the depth bound and the paper's cycle rule to entering
+// node below parent, on a path that has visited it visits times: each
+// module at most once per path, twice for [phy => down] L2 ETH modules
+// (Fig 9b traverses module a twice).
+func (s *search) admits(parent *bfNode, node *Node, visits int) bool {
+	if parent != nil && parent.depth >= s.maxDepth {
+		return false
+	}
+	if visits >= visitLimit(node) {
+		s.stats.Visited++
+		return false
+	}
+	return true
+}
+
 // makeChild applies the mode's header effect and the paper's pruning
 // rules (protocol sanity, external-frame termination, Fig 6b address
 // domains) to produce the child hop, or nil when the branch is pruned.
-func (f *bfFinder) makeChild(parent *bfNode, node *Node, mode core.SwitchMode, entryVia *Node, entryPhys, parentExit core.PipeID) *bfNode {
-	stack := f.initial
+func (s *search) makeChild(parent *bfNode, node *Node, mode core.SwitchMode, entryVia *Node, entryPhys, parentExit core.PipeID) *bfNode {
+	stack := s.initial
 	if parent != nil {
 		stack = parent.stack
 	}
@@ -418,33 +425,33 @@ func (f *bfFinder) makeChild(parent *bfNode, node *Node, mode core.SwitchMode, e
 	switch mode.Effect() {
 	case core.EffectPop, core.EffectProcess:
 		if stack == nil {
-			f.stats.StackUnderflow++
+			s.stats.StackUnderflow++
 			return nil
 		}
-		if !f.spec.DisableSanityPruning && canon(stack.protocol) != canon(node.Ref.Name) {
-			f.stats.NameMismatch++
+		if canon(stack.protocol) != canon(node.Ref.Name) {
+			s.stats.NameMismatch++
 			return nil
 		}
 		// The customer's own Ethernet framing may only be terminated at
 		// the goal's endpoint modules.
 		if stack.external && canon(stack.protocol) == core.NameETH &&
-			node.Ref != f.spec.From && node.Ref != f.spec.To {
-			f.stats.ExternalLeak++
+			node.Ref != s.spec.From && node.Ref != s.spec.To {
+			s.stats.ExternalLeak++
 			return nil
 		}
 		// Address-domain rule (Fig 6b).
-		if !f.spec.DisableDomainPruning &&
+		if !s.spec.DisableDomainPruning &&
 			canon(node.Ref.Name) == core.NameIPv4 &&
 			stack.domain != "" && node.Domain != "" && stack.domain != node.Domain {
-			f.stats.DomainMismatch++
+			s.stats.DomainMismatch++
 			return nil
 		}
 		if mode.Effect() == core.EffectPop {
 			newStack = stack.below
 		}
 	case core.EffectPush:
-		if stack != nil && stack.depth >= f.maxStack {
-			f.stats.StackCap++
+		if s.maxStack > 0 && stack != nil && stack.depth >= s.maxStack {
+			s.stats.StackCap++
 			return nil
 		}
 		newStack = pushStack(stack, node.Ref.Name, node.Domain, false)
@@ -463,8 +470,6 @@ func (f *bfFinder) makeChild(parent *bfNode, node *Node, mode core.SwitchMode, e
 		}
 		child.fast = parent.fast
 		child.flav = parent.flav
-		child.mods = parent.mods + ", " + string(node.Ref.Module)
-		child.modes = parent.modes + mode.String()
 		if entryPhys == "" {
 			child.devVLAN, child.devIPv4, child.devMPLS = parent.devVLAN, parent.devIPv4, parent.devMPLS
 		} else {
@@ -472,16 +477,13 @@ func (f *bfFinder) makeChild(parent *bfNode, node *Node, mode core.SwitchMode, e
 			// fold its flavour accumulators and start fresh.
 			foldDevice(&child.flav, parent)
 		}
-	} else {
-		child.mods = string(node.Ref.Module)
-		child.modes = mode.String()
 	}
 	if node.Abs.Attributes["forwarding"] == "fast" {
 		child.fast = true
 	}
 	applyFlavor(child, node, mode)
-	if f.spec.Prefer != "" && !flavorViable(f.spec.Prefer, child.flav) {
-		f.stats.PreferMismatch++
+	if s.spec.Prefer != "" && !flavorViable(s.spec.Prefer, child.flav) {
+		s.stats.PreferMismatch++
 		return nil
 	}
 	return child
@@ -584,6 +586,13 @@ func applyFlavor(b *bfNode, node *Node, mode core.SwitchMode) {
 // the same dominance state makes it redundant; recorded arrivals the
 // child supersedes are dropped (skipped when they pop).
 func (f *bfFinder) push(child *bfNode) {
+	if p := child.parent; p != nil {
+		child.mods = p.mods + ", " + string(child.node.Ref.Module)
+		child.modes = p.modes + child.mode.String()
+	} else {
+		child.mods = string(child.node.Ref.Module)
+		child.modes = child.mode.String()
+	}
 	key := fmt.Sprintf("%s|%s|%q|%s|%s|%v%v%v",
 		child.node.Ref, child.mode, string(child.entryPhys),
 		child.stack.sig(), child.flav.sig(),
@@ -608,21 +617,23 @@ func (f *bfFinder) push(child *bfNode) {
 	heap.Push(&f.queue, child)
 }
 
-// maybeAccept pushes a completed-path leaf when the hop exits the goal
-// module's external pipe with a clean header stack: the freshly pushed
-// Ethernet header directly above the customer's original IP packet.
+// accepts reports whether b completes a path by exiting on pipe: the
+// goal module's (pinned) external pipe, with a clean header stack — the
+// freshly pushed Ethernet header directly above the customer's original
+// IP packet, every header pushed inside the network popped.
+func (s *search) accepts(b *bfNode, pipe core.PipeID) bool {
+	if b.node.Ref != s.spec.To || (s.spec.ToPipe != "" && pipe != s.spec.ToPipe) {
+		return false
+	}
+	st := b.stack
+	return st != nil && !st.external && canon(st.protocol) == core.NameETH &&
+		st.below != nil && st.below.external && st.below.below == nil
+}
+
+// maybeAccept pushes a completed-path leaf when b exits on an accepting
+// pipe.
 func (f *bfFinder) maybeAccept(b *bfNode, pipe core.PipeID) {
-	if b.node.Ref != f.spec.To {
-		return
-	}
-	if f.spec.ToPipe != "" && pipe != f.spec.ToPipe {
-		return
-	}
-	s := b.stack
-	if s == nil || s.external || canon(s.protocol) != core.NameETH {
-		return
-	}
-	if s.below == nil || !s.below.external || s.below.below != nil {
+	if !f.accepts(b, pipe) {
 		return
 	}
 	leaf := *b
@@ -633,10 +644,10 @@ func (f *bfFinder) maybeAccept(b *bfNode, pipe core.PipeID) {
 	heap.Push(&f.queue, &leaf)
 }
 
-// materialize rebuilds the full Path from an accepted leaf's hop chain,
-// replaying the enumerator's peer-group bookkeeping so the result is
-// structurally identical to an enumerated path.
-func (f *bfFinder) materialize(leaf *bfNode) *Path {
+// materialize rebuilds the full Path from an accepted hop chain that
+// leaves on exit, replaying the peer-group bookkeeping: pushes open a
+// group, processors join it, pops close it.
+func (s *search) materialize(leaf *bfNode, exit core.PipeID) *Path {
 	var chain []*bfNode
 	for b := leaf; b != nil; b = b.parent {
 		chain = append(chain, b)
@@ -646,7 +657,7 @@ func (f *bfFinder) materialize(leaf *bfNode) *Path {
 	}
 	groups := []PeerGroup{
 		{Protocol: core.NameETH, External: true},
-		{Protocol: core.NameIPv4, Domain: f.spec.TrafficDomain, External: true},
+		{Protocol: core.NameIPv4, Domain: s.spec.TrafficDomain, External: true},
 	}
 	stack := []int{0, 1}
 	hops := make([]Hop, len(chain))
@@ -676,7 +687,7 @@ func (f *bfFinder) materialize(leaf *bfNode) *Path {
 				h.ExitPhys = next.parentExit
 			}
 		} else {
-			h.ExitPhys = b.finalPhys
+			h.ExitPhys = exit
 		}
 		hops[i] = h
 	}

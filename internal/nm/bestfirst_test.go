@@ -6,11 +6,9 @@ import (
 	"conman/internal/core"
 )
 
-// TestFindBestMatchesSelectPath pins the engines against each other on
+// TestFindBestMatchesSelectPath pins the drivers against each other on
 // the two-router graph: the best-first result must be the exact path
-// the exhaustive enumerate-then-select pipeline picks, and the
-// Exhaustive knob must route FindBest through the legacy engine with
-// the same outcome.
+// the exhaustive enumerate-then-select pipeline picks.
 func TestFindBestMatchesSelectPath(t *testing.T) {
 	n := buildTwoRouterNM(t)
 	g, err := BuildGraph(n)
@@ -43,16 +41,6 @@ func TestFindBestMatchesSelectPath(t *testing.T) {
 	}
 	if stats.Expanded == 0 {
 		t.Error("best-first reported zero expanded states")
-	}
-
-	exh := spec
-	exh.Exhaustive = true
-	legacy, _, err := g.FindBest(exh)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if legacy == nil || legacy.Modules() != want.Modules() {
-		t.Fatalf("Exhaustive knob picked %v, want %q", legacy, want.Modules())
 	}
 }
 
@@ -120,9 +108,11 @@ func TestFindBestEndpointErrors(t *testing.T) {
 	}
 }
 
-// TestFindBestMaxStack pins the encapsulation bound: a MaxStack too
-// small for the only available path must yield no path (counted in
-// StackCap), not a crash or a deeper-than-allowed path.
+// TestFindBestMaxStack pins the encapsulation bound: an open-header
+// bound too small for the only available path must yield no path
+// (counted in StackCap), not a crash or a deeper-than-allowed path. At
+// DefaultMaxStack the bound never fires on the built-in scenarios, so
+// the test runs the unexported search with a bound of one.
 func TestFindBestMaxStack(t *testing.T) {
 	n := buildTwoRouterNM(t)
 	g, err := BuildGraph(n)
@@ -133,16 +123,15 @@ func TestFindBestMaxStack(t *testing.T) {
 		From:          core.Ref(core.NameETH, "R1", "a"),
 		To:            core.Ref(core.NameETH, "R2", "f"),
 		TrafficDomain: "C1",
-		// Even the plain path must re-push an Ethernet header over the
-		// customer's IP packet; a bound of one forbids every push.
-		MaxStack: 1,
 	}
-	got, stats, err := g.FindBest(spec)
+	// Even the plain path must re-push an Ethernet header over the
+	// customer's IP packet; a bound of one forbids every push.
+	got, stats, err := g.findBest(spec, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got != nil {
-		t.Fatalf("MaxStack=1 still found %q", got.Modules())
+		t.Fatalf("stack bound 1 still found %q", got.Modules())
 	}
 	if stats.StackCap == 0 {
 		t.Error("StackCap prune counter never fired")
@@ -152,7 +141,7 @@ func TestFindBestMaxStack(t *testing.T) {
 // TestPreferUnknownFlag pins the satellite fix for exotic preference
 // strings: Prefer only understands the Describe() vocabulary, and a
 // string outside it used to fall back to undirected search silently.
-// Both engines must now raise PruneStats.PreferUnknown so callers can
+// FindBest must now raise PruneStats.PreferUnknown so callers can
 // tell a typo ("GRE tunnel") from a genuinely missing path, while known
 // flavours and unpinned searches leave the flag clear.
 func TestPreferUnknownFlag(t *testing.T) {
@@ -209,11 +198,5 @@ func TestPreferUnknownFlag(t *testing.T) {
 	}
 	if stats.Expanded == 0 {
 		t.Error("exotic flavour expanded no states: search should run undirected")
-	}
-
-	// The legacy engine raises it too.
-	sp.Exhaustive = true
-	if _, stats, err := g.FindBest(sp); err != nil || !stats.PreferUnknown {
-		t.Fatalf("exhaustive engine: PreferUnknown=%v err=%v, want true, nil", stats.PreferUnknown, err)
 	}
 }

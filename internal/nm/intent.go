@@ -25,9 +25,6 @@ type Intent struct {
 	// tunnel", "MPLS", "VLAN tunnel"); empty selects the paper's path
 	// selector (minimise pipes, prefer fast forwarding).
 	Prefer string
-	// MaxPaths bounds the path search (0 = DefaultMaxPaths), a safety
-	// valve on the best-first search.
-	MaxPaths int
 }
 
 // Plan is the diff between an intent's desired configuration and the
@@ -147,7 +144,6 @@ func (n *NM) compileIntent(intent Intent) (*Path, []DeviceScript, error) {
 		TrafficDomain: intent.Goal.TrafficDomain,
 		FromPipe:      intent.Goal.FromPipe,
 		ToPipe:        intent.Goal.ToPipe,
-		MaxPaths:      intent.MaxPaths,
 		Prefer:        intent.Prefer,
 	})
 	if err != nil {

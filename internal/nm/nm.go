@@ -15,13 +15,16 @@
 // pipe per IGP adjacency along a transit IPv4 group) without ever
 // understanding the state itself.
 //
-// Path selection is goal-directed: Graph.FindBest runs a best-first
-// search over partial paths scored by the paper's selection metric
-// (pipes instantiated, forwarding speed, hop count) with a
-// flavour-aware dominance table, returning the best — or best
-// preferred-flavour — path without materialising the variant space.
-// Graph.FindPaths remains the exhaustive enumerator (the Fig 6
-// path-counting experiments, and the Exhaustive A/B knob).
+// Path search has one core of hop rules (the cycle rule, the Fig 6
+// pruning rules, the acceptance test and the peer-group bookkeeping)
+// and two drivers over it. Path selection is goal-directed:
+// Graph.FindBest runs a best-first search over partial paths scored by
+// the paper's selection metric (pipes instantiated, forwarding speed,
+// hop count) with a flavour-aware dominance table, returning the best —
+// or best preferred-flavour — path without materialising the variant
+// space. Graph.FindPaths is the depth-first enumerator (the Fig 6
+// path-counting experiments and the equivalence tests); PickPath
+// selects from its output.
 //
 // # The intent store
 //

@@ -157,7 +157,7 @@ type PruneStats struct {
 	DeadEnd        int
 	StackUnderflow int
 	ExternalLeak   int // customer L2 header handled off the endpoints
-	StackCap       int // encapsulation deeper than MaxStack (best-first)
+	StackCap       int // encapsulation deeper than DefaultMaxStack (best-first)
 	PreferMismatch int // prefixes that can no longer match Prefer (best-first)
 	Expanded       int // module entries explored (DFS visits / queue pops)
 	// PreferUnknown reports that FindSpec.Prefer was set to a string the
@@ -194,52 +194,16 @@ type FindSpec struct {
 	// where one module fronts several customer ports.
 	FromPipe, ToPipe core.PipeID
 	// MaxPaths bounds the search (0 = DefaultMaxPaths): the enumeration
-	// cap for the exhaustive finder, the accepted-path safety valve for
-	// the best-first finder.
+	// cap for FindPaths, the accepted-path safety valve for FindBest.
 	MaxPaths int
 	// Prefer pins a path flavour by its Describe() string ("GRE-IP
 	// tunnel", "MPLS", "VLAN tunnel") for FindBest. Empty selects by the
 	// paper's metric: fewest pipes, fast forwarding on ties (§III-C.1).
+	// FindPaths ignores it; PickPath applies it to an enumeration.
 	Prefer string
-	// Exhaustive makes FindBest fall back to the legacy
-	// enumerate-then-filter engine (FindPaths + selection) instead of
-	// the goal-directed best-first search — kept for A/B testing and the
-	// equivalence suite.
-	Exhaustive bool
-	// MaxDepth bounds path length in hops. Zero derives the bound from
-	// the graph: twice the node count, the upper limit the per-module
-	// visit rule already implies, so large linear topologies (n=128 and
-	// beyond) enumerate without an artificial ceiling.
-	MaxDepth int
-	// MaxStack bounds how many protocol headers a partial path may have
-	// open at once in the best-first search (0 = DefaultMaxStack). Real
-	// encapsulation stacks are shallow — the paper's deepest,
-	// GRE-over-MPLS, opens five — but an L2 chain admits unbounded
-	// re-tagging (push a fresh VLAN header at every switch), and those
-	// never-selectable deep variants are exactly what makes the search
-	// space quadratic instead of linear. The exhaustive enumerator is
-	// deliberately left unbounded for parity with the paper's Fig 6
-	// pruning rules.
-	MaxStack int
 	// DisableDomainPruning turns off the Fig 6(b) rule (for the ablation
 	// benchmark).
 	DisableDomainPruning bool
-	// DisableSanityPruning turns off header-name matching (ablation;
-	// paths found this way are not usable, only counted).
-	DisableSanityPruning bool
-}
-
-type finder struct {
-	g        *Graph
-	spec     FindSpec
-	stats    PruneStats
-	visited  map[string]int
-	hops     []Hop
-	groups   []PeerGroup
-	stack    []int // group indices, top first
-	paths    []*Path
-	max      int
-	maxDepth int
 }
 
 // visitLimit implements the paper's cycle avoidance: each module appears
@@ -256,38 +220,22 @@ func visitLimit(n *Node) int {
 
 // FindPaths enumerates all protocol-sane paths from spec.From's external
 // physical pipe to spec.To's, applying the paper's two pruning rules:
-// encapsulation sanity and address-domain compatibility (§III-C.1).
+// encapsulation sanity and address-domain compatibility (§III-C.1). It
+// is a depth-first driver over the same hop rules FindBest uses, with
+// no flavour direction and no stack bound, descending no further once
+// MaxPaths paths are found.
 func (g *Graph) FindPaths(spec FindSpec) ([]*Path, PruneStats, error) {
 	from, entryPipe, err := g.resolveEndpoints(spec)
 	if err != nil {
 		return nil, PruneStats{}, err
 	}
-	f := &finder{
-		g:        g,
-		spec:     spec,
-		visited:  make(map[string]int),
-		max:      spec.MaxPaths,
-		maxDepth: spec.MaxDepth,
-	}
-	if f.max == 0 {
-		f.max = DefaultMaxPaths
-	}
-	if f.maxDepth == 0 {
-		f.maxDepth = 2 * len(g.nodes)
-	}
-	// The customer frame arrives with an Ethernet header (pushed by the
-	// customer's equipment) around an IP packet in the customer's
-	// address domain.
-	f.groups = []PeerGroup{
-		{Protocol: core.NameETH, External: true},
-		{Protocol: core.NameIPv4, Domain: spec.TrafficDomain, External: true},
-	}
-	f.stack = []int{0, 1}
-	f.visit(from, core.EndPhy, nil, entryPipe)
+	spec.Prefer = ""
+	e := &enumerator{search: g.newSearch(spec, 0), visits: make(map[*Node]int)}
+	e.enter(nil, from, core.EndPhy, nil, entryPipe, "")
 	// Deterministic result order: by length, module sequence, then mode
 	// sequence (paths can share modules but differ in switching modes).
-	sort.Slice(f.paths, func(i, j int) bool {
-		a, b := f.paths[i], f.paths[j]
+	sort.Slice(e.paths, func(i, j int) bool {
+		a, b := e.paths[i], e.paths[j]
 		if len(a.Hops) != len(b.Hops) {
 			return len(a.Hops) < len(b.Hops)
 		}
@@ -296,7 +244,56 @@ func (g *Graph) FindPaths(spec FindSpec) ([]*Path, PruneStats, error) {
 		}
 		return modeString(a) < modeString(b)
 	})
-	return f.paths, f.stats, nil
+	return e.paths, e.stats, nil
+}
+
+// enumerator is FindPaths' depth-first driver: it follows every hop the
+// shared rules admit and materialises every accepted leaf.
+type enumerator struct {
+	search
+	paths  []*Path
+	visits map[*Node]int // per module, along the current path
+}
+
+// enter explores node below parent, trying its modes in modeRank order.
+func (e *enumerator) enter(parent *bfNode, node *Node, entry core.PipeEnd, entryVia *Node, entryPhys, parentExit core.PipeID) {
+	if len(e.paths) >= e.maxPaths || !e.admits(parent, node, e.visits[node]) {
+		return
+	}
+	e.visits[node]++
+	e.stats.Expanded++
+	var modes []core.SwitchMode
+	for _, mode := range node.Abs.Switch.Modes {
+		if mode.From == entry {
+			modes = append(modes, mode)
+		}
+	}
+	sort.SliceStable(modes, func(i, j int) bool { return modeRank(modes[i]) < modeRank(modes[j]) })
+	for _, mode := range modes {
+		b := e.makeChild(parent, node, mode, entryVia, entryPhys, parentExit)
+		if b == nil {
+			continue
+		}
+		if mode.To != core.EndPhy {
+			next, end := e.coLocated(b)
+			for _, n := range next {
+				e.enter(b, n, end, node, "", "")
+			}
+			continue
+		}
+		for _, pa := range e.g.Phys(node) {
+			switch {
+			case pa.Pipe == entryPhys: // never exit the pipe we entered on
+			case pa.External:
+				if e.accepts(b, pa.Pipe) {
+					e.paths = append(e.paths, e.materialize(b, pa.Pipe))
+				}
+			case pa.Peer != nil:
+				e.enter(b, pa.Peer, core.EndPhy, nil, pa.PeerPipe, pa.Pipe)
+			}
+		}
+	}
+	e.visits[node]--
 }
 
 // resolveEndpoints validates the spec's endpoint modules and resolves
@@ -370,182 +367,6 @@ func modeRank(m core.SwitchMode) int {
 	}
 }
 
-// visit explores from node, entered at the given end.
-func (f *finder) visit(node *Node, entry core.PipeEnd, entryVia *Node, entryPhys core.PipeID) {
-	if len(f.paths) >= f.max || len(f.hops) >= f.maxDepth {
-		return
-	}
-	key := node.Ref.String()
-	if f.visited[key] >= visitLimit(node) {
-		f.stats.Visited++
-		return
-	}
-	f.visited[key]++
-	defer func() { f.visited[key]-- }()
-	f.stats.Expanded++
-
-	var modes []core.SwitchMode
-	for _, mode := range node.Abs.Switch.Modes {
-		if mode.From == entry {
-			modes = append(modes, mode)
-		}
-	}
-	sort.SliceStable(modes, func(i, j int) bool { return modeRank(modes[i]) < modeRank(modes[j]) })
-	for _, mode := range modes {
-		f.tryMode(node, mode, entryVia, entryPhys)
-	}
-}
-
-func (f *finder) tryMode(node *Node, mode core.SwitchMode, entryVia *Node, entryPhys core.PipeID) {
-	effect := mode.Effect()
-	var groupIdx int
-
-	// Apply the header effect, with undo information.
-	switch effect {
-	case core.EffectPop, core.EffectProcess:
-		if len(f.stack) == 0 {
-			f.stats.StackUnderflow++
-			return
-		}
-		groupIdx = f.stack[0]
-		grp := &f.groups[groupIdx]
-		if !f.spec.DisableSanityPruning && canon(grp.Protocol) != canon(node.Ref.Name) {
-			f.stats.NameMismatch++
-			return
-		}
-		// The customer's own Ethernet framing may only be terminated at
-		// the goal's endpoint modules: a transit device transparently
-		// bridging customer frames through the shared core would defeat
-		// the isolation the goal asks for.
-		if grp.External && canon(grp.Protocol) == core.NameETH &&
-			node.Ref != f.spec.From && node.Ref != f.spec.To {
-			f.stats.ExternalLeak++
-			return
-		}
-		// Address-domain rule (Fig 6b): IP modules handling a header
-		// must share its domain.
-		if !f.spec.DisableDomainPruning &&
-			canon(node.Ref.Name) == core.NameIPv4 &&
-			grp.Domain != "" && node.Domain != "" && grp.Domain != node.Domain {
-			f.stats.DomainMismatch++
-			return
-		}
-		grp.Members = append(grp.Members, len(f.hops))
-		if effect == core.EffectPop {
-			grp.Closed = true
-			f.stack = f.stack[1:]
-		}
-	case core.EffectPush:
-		groupIdx = len(f.groups)
-		f.groups = append(f.groups, PeerGroup{
-			Protocol: node.Ref.Name,
-			Domain:   node.Domain,
-			Members:  []int{len(f.hops)},
-		})
-		f.stack = append([]int{groupIdx}, f.stack...)
-	}
-
-	hop := Hop{
-		Node: node, Mode: mode,
-		EntryVia: entryVia, EntryPhys: entryPhys,
-		Group: groupIdx,
-	}
-	f.hops = append(f.hops, hop)
-
-	f.explore(node, mode)
-
-	// Undo.
-	f.hops = f.hops[:len(f.hops)-1]
-	switch effect {
-	case core.EffectPop:
-		grp := &f.groups[groupIdx]
-		grp.Members = grp.Members[:len(grp.Members)-1]
-		grp.Closed = false
-		f.stack = append([]int{groupIdx}, f.stack...)
-	case core.EffectProcess:
-		grp := &f.groups[groupIdx]
-		grp.Members = grp.Members[:len(grp.Members)-1]
-	case core.EffectPush:
-		f.groups = f.groups[:len(f.groups)-1]
-		f.stack = f.stack[1:]
-	}
-}
-
-func (f *finder) explore(node *Node, mode core.SwitchMode) {
-	hopIdx := len(f.hops) - 1
-	switch mode.To {
-	case core.EndUp:
-		ups := f.g.Above(node)
-		if len(ups) == 0 {
-			f.stats.DeadEnd++
-		}
-		for _, up := range ups {
-			f.hops[hopIdx].ExitVia = up
-			f.visit(up, core.EndDown, node, "")
-		}
-		f.hops[hopIdx].ExitVia = nil
-	case core.EndDown:
-		downs := f.g.Below(node)
-		if len(downs) == 0 {
-			f.stats.DeadEnd++
-		}
-		for _, down := range downs {
-			f.hops[hopIdx].ExitVia = down
-			f.visit(down, core.EndUp, node, "")
-		}
-		f.hops[hopIdx].ExitVia = nil
-	case core.EndPhy:
-		for _, pa := range f.g.Phys(node) {
-			if pa.Pipe == f.hops[hopIdx].EntryPhys {
-				continue // never exit the pipe we entered on
-			}
-			f.hops[hopIdx].ExitPhys = pa.Pipe
-			if pa.External {
-				f.maybeAccept(node)
-			} else if pa.Peer != nil {
-				f.visit(pa.Peer, core.EndPhy, nil, pa.PeerPipe)
-			}
-		}
-		f.hops[hopIdx].ExitPhys = ""
-	}
-}
-
-// maybeAccept records a completed path if we are exiting the goal
-// module's external pipe with a clean header stack: the freshly pushed
-// Ethernet header on top of the customer's original IP packet — every
-// header pushed inside the network has been popped.
-func (f *finder) maybeAccept(node *Node) {
-	if node.Ref != f.spec.To {
-		return
-	}
-	if f.spec.ToPipe != "" && f.hops[len(f.hops)-1].ExitPhys != f.spec.ToPipe {
-		return
-	}
-	if len(f.stack) != 2 {
-		return
-	}
-	top, under := &f.groups[f.stack[0]], &f.groups[f.stack[1]]
-	if canon(top.Protocol) != core.NameETH || top.External {
-		return
-	}
-	if !under.External {
-		return
-	}
-	// Deep-copy the path.
-	p := &Path{
-		Hops:   append([]Hop(nil), f.hops...),
-		Groups: make([]PeerGroup, len(f.groups)),
-	}
-	for i, g := range f.groups {
-		p.Groups[i] = PeerGroup{
-			Protocol: g.Protocol, Domain: g.Domain,
-			Members:  append([]int(nil), g.Members...),
-			External: g.External, Closed: g.Closed,
-		}
-	}
-	f.paths = append(f.paths, p)
-}
-
 // SelectPath implements the paper's selector: minimise instantiated
 // pipes, preferring modules that advertise fast forwarding (the MPLS
 // preference of §III-C.1) on ties.
@@ -564,6 +385,21 @@ func SelectPath(paths []*Path) *Path {
 		}
 	}
 	return best
+}
+
+// PickPath chooses from an enumeration the way FindBest chooses from its
+// search: the first path of the preferred flavour when prefer is set
+// (nil if there is none), SelectPath otherwise.
+func PickPath(paths []*Path, prefer string) *Path {
+	if prefer == "" {
+		return SelectPath(paths)
+	}
+	for _, p := range paths {
+		if p.Describe() == prefer {
+			return p
+		}
+	}
+	return nil
 }
 
 func pathFast(p *Path) bool {
