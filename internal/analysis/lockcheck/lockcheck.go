@@ -5,9 +5,9 @@
 //
 //  1. A struct field whose doc or line comment says "guarded by <mu>"
 //     may only be read or written while <mu> — a sync.Mutex or
-//     sync.RWMutex field of the same struct — is held. The race-unsafe
-//     NM.onTrigger field fixed in PR 6 is the archetype: the comment
-//     said what the rule was, nothing checked it.
+//     sync.RWMutex field of the same struct — is held. The NM's
+//     race-unsafe trigger-callback field, since removed, was the
+//     archetype: the comment said what the rule was, nothing checked it.
 //
 //  2. While any mutex is held, the function must not block: no bare
 //     channel sends, no select without a default, no time.Sleep, no

@@ -285,10 +285,11 @@ type Tradeoff struct {
 }
 
 func (t Tradeoff) String() string {
-	return fmt.Sprintf("{[%s] vs [%s] | %s-pipe}", metricList(t.Give), metricList(t.Get), t.Scope)
+	return fmt.Sprintf("{[%s] vs [%s] | %s-pipe}", MetricNames(t.Give), MetricNames(t.Get), t.Scope)
 }
 
-func metricList(ms []Metric) string {
+// MetricNames lists metrics as Key and String do: names joined by ", ".
+func MetricNames(ms []Metric) string {
 	parts := make([]string, len(ms))
 	for i, m := range ms {
 		parts[i] = m.String()
@@ -299,7 +300,47 @@ func metricList(ms []Metric) string {
 // Key returns a canonical identity for a trade-off so the NM can refer to
 // the trade-off it chose when satisfying a pipe dependency.
 func (t Tradeoff) Key() string {
-	return fmt.Sprintf("%s|%s|%s", metricList(t.Give), metricList(t.Get), t.Scope)
+	return fmt.Sprintf("%s|%s|%s", MetricNames(t.Give), MetricNames(t.Get), t.Scope)
+}
+
+// ParseTradeoffKey inverts Key, so the format "give|get|scope" is read
+// where it is written.
+func ParseTradeoffKey(key string) (Tradeoff, error) {
+	parts := strings.Split(key, "|")
+	if len(parts) != 3 {
+		return Tradeoff{}, fmt.Errorf("core: trade-off key %q is not give|get|scope", key)
+	}
+	give, err := parseMetricList(parts[0])
+	if err != nil {
+		return Tradeoff{}, err
+	}
+	get, err := parseMetricList(parts[1])
+	if err != nil {
+		return Tradeoff{}, err
+	}
+	for _, scope := range []PipeEnd{EndUp, EndDown, EndPhy} {
+		if scope.String() == parts[2] {
+			return Tradeoff{Give: give, Get: get, Scope: scope}, nil
+		}
+	}
+	return Tradeoff{}, fmt.Errorf("core: trade-off key %q: unknown scope", key)
+}
+
+// parseMetricList inverts MetricNames.
+func parseMetricList(s string) ([]Metric, error) {
+	if s == "" {
+		return nil, nil
+	}
+	names := strings.Split(s, ", ")
+	out := make([]Metric, len(names))
+	for i, name := range names {
+		m, err := ParseMetric(name)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = m
+	}
+	return out, nil
 }
 
 // FilterClassifier names one abstract thing a module can filter on:

@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/json"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -112,6 +113,25 @@ func TestTradeoffKeyAndString(t *testing.T) {
 	}
 	if got := to.Key(); got != "jitter, delay|ordering|up" {
 		t.Errorf("Key = %q", got)
+	}
+}
+
+// TestParseTradeoffKey pins ParseTradeoffKey as the inverse of Key and
+// its rejection of keys Key cannot write.
+func TestParseTradeoffKey(t *testing.T) {
+	for _, to := range []Tradeoff{
+		{Give: []Metric{MetricJitter, MetricDelay}, Get: []Metric{MetricOrdering}, Scope: EndUp},
+		{Give: []Metric{MetricLossRate}, Get: []Metric{MetricErrorRate, MetricBandwidth}, Scope: EndPhy},
+	} {
+		got, err := ParseTradeoffKey(to.Key())
+		if err != nil || !reflect.DeepEqual(got, to) {
+			t.Errorf("ParseTradeoffKey(%q) = %+v, %v; want %+v", to.Key(), got, err, to)
+		}
+	}
+	for _, bad := range []string{"", "ordering", "delay|ordering", "delay|speed|up", "delay|ordering|sideways"} {
+		if _, err := ParseTradeoffKey(bad); err == nil {
+			t.Errorf("ParseTradeoffKey(%q): want error", bad)
+		}
 	}
 }
 

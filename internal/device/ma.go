@@ -49,8 +49,8 @@ type MA struct {
 
 	// replies caches the reply sent for each completed request keyed
 	// (requester, envelope ID), and inflight marks requests still
-	// executing, so a retransmitted request (lossy channel, NM
-	// RetryInterval) is answered idempotently — resent from cache, or
+	// executing, so a retransmitted request (NM.RetryInterval over a
+	// lossy channel) is answered idempotently — resent from cache, or
 	// dropped while the first execution is still running — instead of
 	// re-executed. replyOrder evicts FIFO at maxReplyCache.
 	replies    map[string]msg.Envelope // guarded by mu
@@ -59,13 +59,6 @@ type MA struct {
 
 	// QueryTimeout bounds blocking listFieldsAndValues calls.
 	QueryTimeout time.Duration
-
-	// RetryInterval, when positive, retransmits an unanswered
-	// listFieldsAndValues request every interval until QueryTimeout —
-	// the device-side mirror of NM.RetryInterval. The NM re-relays the
-	// query (module reads are side-effect-free) and the waiter's
-	// buffered channel drops any duplicate response.
-	RetryInterval time.Duration
 }
 
 // maxReplyCache bounds the per-device reply cache; retransmits arrive
@@ -247,31 +240,20 @@ func (a *MA) QueryFields(requester, target core.ModuleRef, component string) (ma
 	if err := a.send(env); err != nil {
 		return nil, err
 	}
-	deadline := time.After(a.QueryTimeout)
-	var retry <-chan time.Time
-	if a.RetryInterval > 0 {
-		ticker := time.NewTicker(a.RetryInterval)
-		defer ticker.Stop()
-		retry = ticker.C
-	}
-	for {
-		select {
-		case resp := <-ch:
-			if resp.Type == msg.TypeError {
-				var e msg.Error
-				_ = resp.Decode(&e)
-				return nil, fmt.Errorf("device[%s]: listFieldsAndValues(%s): %s", a.dev, target, e.Message)
-			}
-			var body msg.ListFieldsResp
-			if err := resp.Decode(&body); err != nil {
-				return nil, err
-			}
-			return body.Fields, nil
-		case <-retry:
-			_ = a.send(env)
-		case <-deadline:
-			return nil, fmt.Errorf("device[%s]: listFieldsAndValues(%s): timeout", a.dev, target)
+	select {
+	case resp := <-ch:
+		if resp.Type == msg.TypeError {
+			var e msg.Error
+			_ = resp.Decode(&e)
+			return nil, fmt.Errorf("device[%s]: listFieldsAndValues(%s): %s", a.dev, target, e.Message)
 		}
+		var body msg.ListFieldsResp
+		if err := resp.Decode(&body); err != nil {
+			return nil, err
+		}
+		return body.Fields, nil
+	case <-time.After(a.QueryTimeout):
+		return nil, fmt.Errorf("device[%s]: listFieldsAndValues(%s): timeout", a.dev, target)
 	}
 }
 
@@ -362,15 +344,7 @@ func (a *MA) retryPending() {
 // notify, convey) whose delivery the transport already dedups at the
 // frame layer.
 func cacheableRequest(env msg.Envelope) bool {
-	if env.ID == 0 {
-		return false
-	}
-	switch env.Type {
-	case msg.TypeCommandBatchReq, msg.TypeCreatePipeReq, msg.TypeCreateSwitchReq,
-		msg.TypeCreateFilterReq, msg.TypeDeleteReq, msg.TypeInstallTriggerReq:
-		return true
-	}
-	return false
+	return env.ID != 0 && (env.Type == msg.TypeCommandBatchReq || env.Type == msg.TypeInstallTriggerReq)
 }
 
 // replyKey identifies a request for dedup. The body hash keeps a
@@ -467,59 +441,6 @@ func (a *MA) handle(env msg.Envelope) {
 			a.Kick()
 		}
 		a.reply(env, msg.TypeCommandBatchResp, resp)
-
-	case msg.TypeCreatePipeReq:
-		var body msg.CreatePipeReq
-		if err := env.Decode(&body); err != nil {
-			a.replyErr(env, "bad create.pipe: %v", err)
-			return
-		}
-		id, err := a.createPipe("", body.Req)
-		if err != nil {
-			a.replyErr(env, "%v", err)
-			return
-		}
-		a.Kick()
-		a.reply(env, msg.TypeCreatePipeResp, msg.CreatePipeResp{Pipe: id})
-
-	case msg.TypeCreateSwitchReq:
-		var body msg.CreateSwitchReq
-		if err := env.Decode(&body); err != nil {
-			a.replyErr(env, "bad create.switch: %v", err)
-			return
-		}
-		id, _, err := a.createSwitch(body)
-		if err != nil {
-			a.replyErr(env, "%v", err)
-			return
-		}
-		a.Kick()
-		a.reply(env, msg.TypeCreateSwitchResp, msg.CreateSwitchResp{RuleID: id})
-
-	case msg.TypeCreateFilterReq:
-		var body msg.CreateFilterReq
-		if err := env.Decode(&body); err != nil {
-			a.replyErr(env, "bad create.filter: %v", err)
-			return
-		}
-		id, err := a.createFilter(body)
-		if err != nil {
-			a.replyErr(env, "%v", err)
-			return
-		}
-		a.reply(env, msg.TypeCreateFilterResp, msg.CreateFilterResp{RuleID: id})
-
-	case msg.TypeDeleteReq:
-		var body msg.DeleteReq
-		if err := env.Decode(&body); err != nil {
-			a.replyErr(env, "bad delete: %v", err)
-			return
-		}
-		if err := a.deleteComponent(body.Req); err != nil {
-			a.replyErr(env, "%v", err)
-			return
-		}
-		a.reply(env, msg.TypeDeleteResp, msg.DeleteResp{})
 
 	case msg.TypeConvey:
 		var body msg.Convey

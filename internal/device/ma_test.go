@@ -90,11 +90,14 @@ func TestKickDuringRetryPassIsNotLost(t *testing.T) {
 // TestKickDuringCreateSwitchIsNotLost covers the same window in
 // createSwitch: a Kick landing after the first install attempt began,
 // before the rule joined the pending list, finds nothing to retry. The
-// request handler kicks after every create, so the rule still installs.
+// request handler kicks after every batch item, so the rule still
+// installs.
 func TestKickDuringCreateSwitchIsNotLost(t *testing.T) {
 	a, g := gatedRig()
 	g.during = g.makeReady
-	a.handle(msg.MustNew(msg.TypeCreateSwitchReq, msg.NMName, "X", 1, gatedRule(g)))
+	rule := gatedRule(g)
+	a.handle(msg.MustNew(msg.TypeCommandBatchReq, msg.NMName, "X", 1,
+		msg.CommandBatchReq{Items: []msg.CommandItem{{Switch: &rule}}}))
 	if n := a.PendingRules(); n != 0 {
 		t.Fatalf("%d rule(s) still pending after a kick landed mid-install (%d attempts)", n, g.attempts)
 	}

@@ -2,11 +2,15 @@ package experiments
 
 import (
 	"net/netip"
+	"reflect"
+	"strings"
 	"testing"
+	"time"
 
 	"conman/internal/core"
 	"conman/internal/modules"
 	"conman/internal/msg"
+	"conman/internal/nm"
 )
 
 // TestFilterResolutionAndDependencyMaintenance reproduces §II-E: the NM
@@ -85,24 +89,17 @@ func TestFilterResolutionAndDependencyMaintenance(t *testing.T) {
 	if _, err := tb.NM.InstallTrigger(foo.Ref(), "self"); err != nil {
 		t.Fatal(err)
 	}
-	reResolved := make(chan struct{}, 1)
-	tb.NM.SetOnTrigger(func(tr msg.Trigger) {
-		// The NM's dependency tracker re-resolves the dependent filter.
-		k, _ := tb.Devices["C"].MA.LocalModule("k")
-		if ipMod, ok := k.(*modules.IP); ok {
-			if err := ipMod.ReResolveFilter(ruleID); err == nil {
-				reResolved <- struct{}{}
-			}
-		}
-	})
+	events, cancel := tb.NM.Subscribe(0)
+	defer cancel()
 
 	// The application moves to port 593 — without maintenance the old
 	// filter would now miss it.
 	foo.SetPort(593)
-	select {
-	case <-reResolved:
-	default:
-		t.Fatal("trigger did not fire or filter was not re-resolved")
+	awaitTrigger(t, events, foo.Ref(), "self")
+	// The NM's dependency tracker re-resolves the dependent filter.
+	k, _ := tb.Devices["C"].MA.LocalModule("k")
+	if err := k.(*modules.IP).ReResolveFilter(ruleID); err != nil {
+		t.Fatal(err)
 	}
 	if err := tb.Customer["E"].SendUDP(ip("192.168.1.1"), appAddr, 4000, 593, []byte("after-move")); err != nil {
 		t.Fatal(err)
@@ -122,6 +119,23 @@ func TestFilterResolutionAndDependencyMaintenance(t *testing.T) {
 	}
 	if got := foo.Received(); len(got) != 2 || string(got[1]) != "open-again" {
 		t.Fatalf("after delete: %v", got)
+	}
+}
+
+// awaitTrigger drains an NM event feed until the trigger watching
+// module's component arrives.
+func awaitTrigger(t *testing.T, events <-chan nm.Event, module core.ModuleRef, component string) {
+	t.Helper()
+	timeout := time.After(5 * time.Second)
+	for {
+		select {
+		case ev := <-events:
+			if ev.Kind == nm.EventTrigger && ev.Module == module && ev.Component == component {
+				return
+			}
+		case <-timeout:
+			t.Fatalf("no trigger for %s/%s", module, component)
+		}
 	}
 }
 
@@ -266,3 +280,47 @@ func TestFloodChannelRunsWholeVPN(t *testing.T) {
 }
 
 var _ = netip.Addr{}
+
+// TestDeleteAndCreateFilterRideCommandBatches pins the one wire form for
+// configuration: NM.CreateFilter and NM.Delete each send a one-item
+// command batch, so each shows in the Table VI counters and the message
+// log like any executor batch, and a failing item surfaces the device's
+// own error.
+func TestDeleteAndCreateFilterRideCommandBatches(t *testing.T) {
+	tb, err := BuildFig4()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tb.NM.ResetCounters()
+	tb.NM.EnableMessageLog()
+	ipC := core.Ref(core.NameIPv4, "C", "k")
+
+	ruleID, err := tb.NM.CreateFilter(core.FilterRule{Module: ipC, Action: core.ActionDrop})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c := tb.NM.Counters(); c.CmdSent != 1 || c.AckRecv != 1 {
+		t.Fatalf("after CreateFilter: CmdSent=%d AckRecv=%d, want 1 and 1", c.CmdSent, c.AckRecv)
+	}
+	if err := tb.NM.Delete(core.DeleteRequest{Kind: core.ComponentFilterRule, Module: ipC, ID: ruleID}); err != nil {
+		t.Fatal(err)
+	}
+	if c := tb.NM.Counters(); c.CmdSent != 2 || c.AckRecv != 2 {
+		t.Fatalf("after Delete: CmdSent=%d AckRecv=%d, want 2 and 2", c.CmdSent, c.AckRecv)
+	}
+	var batches []string
+	for _, line := range tb.NM.MessageLog() {
+		if strings.HasPrefix(line, "[cmd:") {
+			batches = append(batches, line)
+		}
+	}
+	want := []string{"[cmd:C #1] command batch -> C (1 items)", "[cmd:C #2] command batch -> C (1 items)"}
+	if !reflect.DeepEqual(batches, want) {
+		t.Fatalf("command log = %q, want %q", batches, want)
+	}
+
+	err = tb.NM.Delete(core.DeleteRequest{Kind: core.ComponentPipe, Module: ipC, ID: "P99"})
+	if err == nil || !strings.Contains(err.Error(), "device[C]: no pipe P99") {
+		t.Fatalf("deleting an unknown pipe: err = %v, want the device's item error", err)
+	}
+}

@@ -20,7 +20,7 @@ func (k *Kernel) Exec(line string) (string, error) {
 		return "", nil
 	}
 	k.mu.Lock()
-	k.execLog = append(k.execLog, trimmed)
+	k.execLog.add(trimmed)
 	k.mu.Unlock()
 
 	f := strings.Fields(trimmed)

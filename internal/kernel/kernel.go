@@ -217,8 +217,8 @@ type Kernel struct {
 	udp        map[uint16]UDPHandler
 	ethHandler map[packet.EtherType]EtherTypeHandler
 	modules    map[string]bool // `insmod`/`modprobe` flags
-	probes     probeLog
-	execLog    []string
+	probes     logRing[ProbeEvent]
+	execLog    logRing[string]
 	// probeWaiters holds the in-flight Probe calls, keyed by token.
 	probeWaiters map[uint32]chan struct{}
 
@@ -235,27 +235,42 @@ const ProbeWait = 500 * time.Millisecond
 // so sustained probing holds the log at a fixed size.
 const ProbeLogSize = 1024
 
-// probeLog is a fixed-capacity ring of the probe events delivered
-// locally. It grows up to ProbeLogSize, then overwrites the oldest.
-type probeLog struct {
-	buf  []ProbeEvent
+// ExecLogSize is the capacity of a kernel's exec log: ExecLog reports
+// the newest ExecLogSize commands, so a device reconfigured forever
+// holds the log at a fixed size.
+const ExecLogSize = 1024
+
+// logRing is a fixed-capacity log. It grows up to size, then overwrites
+// the oldest entry.
+type logRing[T any] struct {
+	size int
+	buf  []T
 	next int // slot overwritten next once buf is full
 }
 
-func (l *probeLog) add(ev ProbeEvent) {
-	if len(l.buf) < ProbeLogSize {
-		l.buf = append(l.buf, ev)
+func (l *logRing[T]) add(v T) {
+	if len(l.buf) < l.size {
+		l.buf = append(l.buf, v)
 		return
 	}
-	l.buf[l.next] = ev
-	l.next = (l.next + 1) % ProbeLogSize
+	l.buf[l.next] = v
+	l.next = (l.next + 1) % l.size
 }
 
-// tokens returns the tokens of the logged events of one kind, oldest
-// first.
-func (l *probeLog) tokens(op uint8) []uint32 {
+// halves returns the log as two slices that are oldest first together.
+func (l *logRing[T]) halves() [2][]T { return [2][]T{l.buf[l.next:], l.buf[:l.next]} }
+
+// items returns a copy of the log, oldest first.
+func (l *logRing[T]) items() []T {
+	h := l.halves()
+	return append(append([]T(nil), h[0]...), h[1]...)
+}
+
+// probeTokens returns the tokens of the logged probe events of one kind,
+// oldest first.
+func probeTokens(l *logRing[ProbeEvent], op uint8) []uint32 {
 	var out []uint32
-	for _, part := range [2][]ProbeEvent{l.buf[l.next:], l.buf[:l.next]} {
+	for _, part := range l.halves() {
 		for _, ev := range part {
 			if ev.Op == op {
 				out = append(out, ev.Token)
@@ -263,11 +278,6 @@ func (l *probeLog) tokens(op uint8) []uint32 {
 		}
 	}
 	return out
-}
-
-// events returns a copy of the log, oldest first.
-func (l *probeLog) events() []ProbeEvent {
-	return append(append([]ProbeEvent(nil), l.buf[l.next:]...), l.buf[:l.next]...)
 }
 
 // maxEncapDepth bounds recursive encapsulation/decapsulation.
@@ -298,6 +308,8 @@ func New(dev core.DeviceID, role Role, send func(port string, frame []byte) erro
 		modules:    make(map[string]bool),
 
 		probeWaiters: make(map[uint32]chan struct{}),
+		probes:       logRing[ProbeEvent]{size: ProbeLogSize},
+		execLog:      logRing[string]{size: ExecLogSize},
 	}
 	k.mpls = mplsState{ilm: make(map[ilmKey]bool), xc: make(map[ilmKey]int), nhlfe: make(map[int]*NHLFE), nextKey: 1}
 	k.bridge = newBridgeState()
@@ -769,7 +781,7 @@ func (k *Kernel) RegisterEtherType(et packet.EtherType, h EtherTypeHandler) {
 func (k *Kernel) Probes() []ProbeEvent {
 	k.mu.Lock()
 	defer k.mu.Unlock()
-	return k.probes.events()
+	return k.probes.items()
 }
 
 // IfaceCounters returns rx/tx packet counts for an interface.
@@ -782,11 +794,12 @@ func (k *Kernel) IfaceCounters(name string) (rx, tx uint64) {
 	return 0, 0
 }
 
-// ExecLog returns the device-level commands executed so far.
+// ExecLog returns the newest ExecLogSize device-level commands executed,
+// oldest first.
 func (k *Kernel) ExecLog() []string {
 	k.mu.Lock()
 	defer k.mu.Unlock()
-	return append([]string(nil), k.execLog...)
+	return k.execLog.items()
 }
 
 // ---------------------------------------------------------------------------
@@ -1214,7 +1227,7 @@ func (k *Kernel) Probe(src, dst netip.Addr, token uint32) (bool, error) {
 func (k *Kernel) ProbeReplies() []uint32 {
 	k.mu.Lock()
 	defer k.mu.Unlock()
-	return k.probes.tokens(packet.ProbeReply)
+	return probeTokens(&k.probes, packet.ProbeReply)
 }
 
 // ProbeEchoes returns the tokens of the probe echoes in the probe log,
@@ -1222,7 +1235,7 @@ func (k *Kernel) ProbeReplies() []uint32 {
 func (k *Kernel) ProbeEchoes() []uint32 {
 	k.mu.Lock()
 	defer k.mu.Unlock()
-	return k.probes.tokens(packet.ProbeEcho)
+	return probeTokens(&k.probes, packet.ProbeEcho)
 }
 
 // ---------------------------------------------------------------------------

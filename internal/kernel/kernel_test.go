@@ -1,6 +1,7 @@
 package kernel_test
 
 import (
+	"fmt"
 	"net/netip"
 	"strings"
 	"testing"
@@ -757,6 +758,27 @@ func TestProbeLogBounded(t *testing.T) {
 	if len(replies) != kernel.ProbeLogSize || replies[len(replies)-1] != sent {
 		t.Fatalf("replies hold %d tokens ending at %d, want %d ending at %d",
 			len(replies), replies[len(replies)-1], kernel.ProbeLogSize, sent)
+	}
+}
+
+// TestExecLogBounded pins the exec log's fixed capacity: after ten
+// times ExecLogSize commands the log holds exactly ExecLogSize of them,
+// the newest, oldest first.
+func TestExecLogBounded(t *testing.T) {
+	r := newRig(t)
+	k := r.add("X", kernel.RoleRouter, "eth0")
+	const sent = 10 * kernel.ExecLogSize
+	const forwardCmd = "echo %d > /proc/sys/net/ipv4/ip_forward"
+	for i := 1; i <= sent; i++ {
+		if _, err := k.Exec(fmt.Sprintf(forwardCmd, i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	log := k.ExecLog()
+	first, last := fmt.Sprintf(forwardCmd, sent-kernel.ExecLogSize+1), fmt.Sprintf(forwardCmd, sent)
+	if len(log) != kernel.ExecLogSize || log[0] != first || log[len(log)-1] != last {
+		t.Fatalf("exec log holds %d commands [%q..%q], want the newest %d from %q to %q",
+			len(log), log[0], log[len(log)-1], kernel.ExecLogSize, first, last)
 	}
 }
 

@@ -27,18 +27,17 @@ const (
 	TypeTrigger  Type = "trigger"  // installed trigger fired (§II-E)
 
 	// NM -> device requests and their responses.
-	TypeShowPotentialReq   Type = "showPotential"
-	TypeShowPotentialResp  Type = "showPotential.resp"
-	TypeShowActualReq      Type = "showActual"
-	TypeShowActualResp     Type = "showActual.resp"
-	TypeCreatePipeReq      Type = "create.pipe"
-	TypeCreatePipeResp     Type = "create.pipe.resp"
-	TypeCreateSwitchReq    Type = "create.switch"
-	TypeCreateSwitchResp   Type = "create.switch.resp"
-	TypeCreateFilterReq    Type = "create.filter"
-	TypeCreateFilterResp   Type = "create.filter.resp"
-	TypeDeleteReq          Type = "delete"
-	TypeDeleteResp         Type = "delete.resp"
+	TypeShowPotentialReq  Type = "showPotential"
+	TypeShowPotentialResp Type = "showPotential.resp"
+	TypeShowActualReq     Type = "showActual"
+	TypeShowActualResp    Type = "showActual.resp"
+
+	// Configuration (create and delete, Table I) has one wire form: a
+	// command batch, one envelope per device and one item per primitive.
+	TypeCommandBatchReq  Type = "commandBatch"
+	TypeCommandBatchResp Type = "commandBatch.resp"
+
+	// Dependency maintenance (§II-E) and self-test (§II-D.2).
 	TypeInstallTriggerReq  Type = "installTrigger"
 	TypeInstallTriggerResp Type = "installTrigger.resp"
 	TypeSelfTestReq        Type = "selfTest"
@@ -138,47 +137,26 @@ type ShowActualResp struct {
 	Modules []core.ModuleState `json:"modules"`
 }
 
-// CreatePipeReq asks a device to create an up-down pipe pair.
-type CreatePipeReq struct {
-	Req core.PipeRequest `json:"req"`
-}
-
-// CreatePipeResp returns the allocated pipe id.
-type CreatePipeResp struct {
-	Pipe core.PipeID `json:"pipe"`
-}
-
-// CreateSwitchReq installs a switch rule. The NM resolves abstract
-// classifier/gateway tokens it owns (address domains, §III-C) into
-// MatchResolved/ViaResolved so no extra round-trips are needed.
+// CreateSwitchReq is the batch item that installs a switch rule. The NM
+// resolves abstract classifier/gateway tokens it owns (address domains,
+// §III-C) into MatchResolved/ViaResolved so no extra round-trips are
+// needed.
 type CreateSwitchReq struct {
 	Rule          core.SwitchRule `json:"rule"`
 	MatchResolved string          `json:"match_resolved,omitempty"`
 	ViaResolved   string          `json:"via_resolved,omitempty"`
 }
 
-// CreateSwitchResp acknowledges a switch rule.
-type CreateSwitchResp struct {
-	RuleID string `json:"rule_id"`
-}
-
-// CreateFilterReq installs an abstract filter rule (§II-E).
+// CreateFilterReq is the batch item that installs an abstract filter
+// rule (§II-E).
 type CreateFilterReq struct {
 	Rule core.FilterRule `json:"rule"`
 }
 
-// CreateFilterResp acknowledges a filter rule.
-type CreateFilterResp struct {
-	RuleID string `json:"rule_id"`
-}
-
-// DeleteReq deletes a component.
+// DeleteReq is the batch item that deletes a component.
 type DeleteReq struct {
 	Req core.DeleteRequest `json:"req"`
 }
-
-// DeleteResp acknowledges a delete.
-type DeleteResp struct{}
 
 // Convey is a module-to-module message relayed via the NM (§II-D.1.d).
 type Convey struct {
@@ -295,12 +273,6 @@ func (r CommandBatchResp) OK() bool {
 	}
 	return true
 }
-
-// Batch message types.
-const (
-	TypeCommandBatchReq  Type = "commandBatch"
-	TypeCommandBatchResp Type = "commandBatch.resp"
-)
 
 // Error is the body of a TypeError response.
 type Error struct {

@@ -398,14 +398,14 @@ func renderSwitchCreate(r core.SwitchRule) string {
 	}
 }
 
-// tradeoffGetName extracts the "get" metric names from a trade-off key
-// for rendering ("ordering", "error-rate").
+// tradeoffGetName renders the "get" metric names of a trade-off key
+// ("ordering", "error-rate").
 func tradeoffGetName(key string) string {
-	parts := strings.Split(key, "|")
-	if len(parts) != 3 {
+	t, err := core.ParseTradeoffKey(key)
+	if err != nil {
 		return key
 	}
-	return parts[1]
+	return core.MetricNames(t.Get)
 }
 
 // Execute runs compiled device scripts, one batch per device (Table VI's

@@ -94,15 +94,6 @@ func (n *NM) EventsDropped() uint64 {
 	return n.eventsDropped
 }
 
-// SetOnTrigger registers (or, with nil, clears) the dependency-trigger
-// callback. Registration synchronises with dispatch: the call returns
-// only once no in-flight trigger is still running the previous handler.
-func (n *NM) SetOnTrigger(fn func(t msg.Trigger)) {
-	n.triggerMu.Lock()
-	n.onTrigger = fn
-	n.triggerMu.Unlock()
-}
-
 // publishLocked fans an event out to every subscriber. Caller holds
 // n.mu.
 func (n *NM) publishLocked(ev Event) {

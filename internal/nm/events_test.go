@@ -133,39 +133,52 @@ func TestEventTailsBounded(t *testing.T) {
 	}
 }
 
-// TestSetOnTriggerConcurrent races handler swaps against trigger
-// dispatch; under -race this pins the fix for the unsynchronised
-// OnTrigger field (a handler could be swapped mid-dispatch).
-func TestSetOnTriggerConcurrent(t *testing.T) {
+// TestSubscribeConcurrentWithTriggers races subscriber churn against
+// trigger dispatch, the one way trigger consumers receive triggers.
+// Under -race this pins that the subscriber set may change
+// mid-dispatch, and a subscriber that stays registered throughout still
+// receives every trigger, in order.
+func TestSubscribeConcurrentWithTriggers(t *testing.T) {
 	n, dev := eventNM(t)
-	var calls sync.Map
+	const sent = 500
+	events, cancel := n.Subscribe(sent)
+	defer cancel()
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	wg.Add(2)
 	go func() {
 		defer wg.Done()
-		for i := 0; ; i++ {
+		for {
 			select {
 			case <-stop:
 				return
 			default:
 			}
-			id := i
-			n.SetOnTrigger(func(tr msg.Trigger) { calls.Store(id, tr.Component) })
+			_, churn := n.Subscribe(1)
+			churn()
 		}
 	}()
 	go func() {
 		defer wg.Done()
-		for i := 0; i < 500; i++ {
+		for i := 0; i < sent; i++ {
 			sendTrigger(t, dev, fmt.Sprintf("pipe:P%d", i))
 		}
 	}()
 	time.Sleep(20 * time.Millisecond)
 	close(stop)
 	wg.Wait()
-	n.SetOnTrigger(nil)
-	if got := len(n.Triggers()); got != 500 {
-		t.Errorf("trigger tail = %d, want 500", got)
+	for i := 0; i < sent; i++ {
+		select {
+		case ev := <-events:
+			if want := fmt.Sprintf("pipe:P%d", i); ev.Kind != EventTrigger || ev.Component != want {
+				t.Fatalf("event %d = %v %q, want trigger %q", i, ev.Kind, ev.Component, want)
+			}
+		case <-time.After(time.Second):
+			t.Fatalf("received %d of %d triggers", i, sent)
+		}
+	}
+	if got := len(n.Triggers()); got != sent {
+		t.Errorf("trigger tail = %d, want %d", got, sent)
 	}
 }
 

@@ -241,13 +241,6 @@ type NM struct {
 	msgLog     []logEntry        // guarded by mu
 	logSeq     map[string]uint64 // guarded by mu
 
-	// onTrigger, when set via SetOnTrigger, is invoked for
-	// dependency-maintenance triggers (§II-E). It has its own lock so
-	// registration waits out any in-flight dispatch instead of racing
-	// with it.
-	triggerMu sync.RWMutex
-	onTrigger func(t msg.Trigger) // guarded by triggerMu
-
 	// CallTimeout bounds request/response calls.
 	CallTimeout time.Duration
 
@@ -610,14 +603,6 @@ func (n *NM) handle(env msg.Envelope) {
 			Module: t.Module, Component: t.Component,
 		})
 		n.mu.Unlock()
-		// The callback is invoked under triggerMu (not n.mu), so
-		// SetOnTrigger waits out an in-flight dispatch instead of
-		// swapping the handler mid-call.
-		n.triggerMu.RLock()
-		if cb := n.onTrigger; cb != nil {
-			cb(t)
-		}
-		n.triggerMu.RUnlock()
 
 	case msg.TypeError:
 		// Could be a failed relay or an answer to one of our requests.
@@ -794,23 +779,32 @@ func (n *NM) ExecuteBatch(dev core.DeviceID, items []msg.CommandItem) (msg.Comma
 	return body, nil
 }
 
-// CreateFilter installs an abstract filter rule on its inspecting module.
+// CreateFilter installs an abstract filter rule on its inspecting module
+// and returns the rule's id.
 func (n *NM) CreateFilter(rule core.FilterRule) (string, error) {
-	resp, err := n.call(msg.TypeCreateFilterReq, rule.Module.Device, msg.CreateFilterReq{Rule: rule})
-	if err != nil {
-		return "", err
-	}
-	var body msg.CreateFilterResp
-	if err := resp.Decode(&body); err != nil {
-		return "", err
-	}
-	return body.RuleID, nil
+	res, err := n.runItem(rule.Module.Device, msg.CommandItem{Filter: &msg.CreateFilterReq{Rule: rule}},
+		fmt.Sprintf("create (filter, %s, %s)", rule.Module, rule.Action))
+	return res.RuleID, err
 }
 
 // Delete removes a component.
 func (n *NM) Delete(req core.DeleteRequest) error {
-	_, err := n.call(msg.TypeDeleteReq, req.Module.Device, msg.DeleteReq{Req: req})
+	di, rendered := deleteItem(req)
+	_, err := n.runItem(req.Module.Device, di, rendered)
 	return err
+}
+
+// runItem sends one primitive as a one-item command batch, the same wire
+// form (and the same Counters and message-log accounting) as Execute.
+func (n *NM) runItem(dev core.DeviceID, item msg.CommandItem, rendered string) (msg.CommandItemResult, error) {
+	resp, err := n.runScript(&DeviceScript{Device: dev, Items: []msg.CommandItem{item}, Rendered: []string{rendered}})
+	if err != nil {
+		return msg.CommandItemResult{}, err
+	}
+	if len(resp.Results) != 1 {
+		return msg.CommandItemResult{}, fmt.Errorf("nm: batch on %s: %d results for 1 item", dev, len(resp.Results))
+	}
+	return resp.Results[0], nil
 }
 
 // InstallTrigger asks a module to report low-level value changes for a
